@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import warnings
 
 import pytest
 
@@ -19,6 +20,7 @@ from mpslink import (
     Side,
     SimConfig,
     SimMode,
+    SimStats,
     bsm_attempt_sample,
     des_run,
     estimate_infidelity,
@@ -348,3 +350,402 @@ class TestMpiReferenceRun:
         assert mpi_reference_run(1e-3, 1e-4, 10_000, seed=9) == mpi_reference_run(
             1e-3, 1e-4, 10_000, seed=9
         )
+
+
+# Full SimStats of both engines on fixed seeds, recorded from the
+# Side-keyed engines that preceded the int-indexed rewrite.  Any change to
+# event order, warm-up accounting, keyed draws or the rate arithmetic shows
+# up here as an inequality.
+GOLDEN_CASES = {
+    "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
+    "dark_counts": dict(
+        beta_qd=0.3, beta_ms=0.2, n=20, total_cycles=50_000, seed=5,
+        p_dc=0.02, bsm_variant=BsmVariant.SINGLET_ONLY,
+    ),
+    "trace": dict(
+        beta_qd=0.5, beta_ms=0.4, n=6, total_cycles=3000, seed=2, p_dc=0.001, trace_limit=24
+    ),
+    "n1": dict(beta_qd=0.6, beta_ms=0.5, n=1, total_cycles=20_000, seed=9, trace_limit=6),
+    "beta_qd_1_lossless": dict(
+        beta_qd=1.0, beta_ms=1.0, n=7, total_cycles=2000, seed=1, trace_limit=6
+    ),
+    "beta_qd_1_dark": dict(beta_qd=1.0, beta_ms=0.3, n=15, total_cycles=30_000, seed=4, p_dc=0.01),
+    "beta_qd_0": dict(beta_qd=0.0, beta_ms=0.5, n=10, total_cycles=5000, seed=3),
+    "beta_qd_0_dark": dict(beta_qd=0.0, beta_ms=0.5, n=10, total_cycles=40_000, seed=3, p_dc=0.05),
+    # total_cycles < 10n: short warm-up-dominated runs, and one with no measured cycles.
+    "short_run": dict(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500, seed=6, trace_limit=9),
+    "no_measured": dict(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=150, seed=6),
+}
+
+GOLDEN_STATS = {
+    ("p001_n500", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=1000000,
+        warmup_cycles=1000,
+        measured_cycles=999000,
+        tau_c_ns=500.0,
+        heralds_left=1808,
+        heralds_right=1813,
+        true_coincidences=17,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.0903013013013013,
+        rate_hz=34.03403403403403,
+        infidelity_estimate=0.0,
+    ),
+    ("p001_n500", "literal"): SimStats(
+        mode="literal",
+        cycles_run=1000000,
+        warmup_cycles=1000,
+        measured_cycles=999000,
+        tau_c_ns=500.0,
+        heralds_left=2530,
+        heralds_right=2504,
+        true_coincidences=2,
+        false_coincidences=0,
+        one_sided_confirms=7,
+        open_fraction=0.08752352352352352,
+        rate_hz=4.0040040040040035,
+        infidelity_estimate=0.0,
+    ),
+    ("dark_counts", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=50000,
+        warmup_cycles=40,
+        measured_cycles=49960,
+        tau_c_ns=500.0,
+        heralds_left=1680,
+        heralds_right=1688,
+        true_coincidences=54,
+        false_coincidences=22,
+        one_sided_confirms=0,
+        open_fraction=0.2592273819055244,
+        rate_hz=3042.4339471577255,
+        infidelity_estimate=0.2894736842105263,
+    ),
+    ("dark_counts", "literal"): SimStats(
+        mode="literal",
+        cycles_run=50000,
+        warmup_cycles=40,
+        measured_cycles=49960,
+        tau_c_ns=500.0,
+        heralds_left=1833,
+        heralds_right=1782,
+        true_coincidences=22,
+        false_coincidences=9,
+        one_sided_confirms=39,
+        open_fraction=0.2727582065652522,
+        rate_hz=1240.992794235388,
+        infidelity_estimate=0.2903225806451613,
+    ),
+    ("trace", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=3000,
+        warmup_cycles=12,
+        measured_cycles=2988,
+        tau_c_ns=500.0,
+        heralds_left=302,
+        heralds_right=302,
+        true_coincidences=36,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.3142570281124498,
+        rate_hz=24096.38554216867,
+        infidelity_estimate=0.0,
+        trace=(
+            (2, "right", "herald"), (5, "left", "herald"),
+            (8, "right", "timeout"), (10, "left", "herald"),
+            (16, "left", "timeout"), (20, "left", "herald"),
+            (23, "right", "herald"), (26, "left", "timeout"),
+            (32, "left", "herald"), (38, "left", "timeout"),
+            (39, "right", "herald"), (42, "left", "herald"),
+            (45, "right", "timeout"), (46, "right", "herald"),
+            (52, "right", "timeout"), (55, "right", "herald"),
+            (56, "left", "herald"), (61, "right", "timeout"),
+            (63, "left", "herald"), (67, "right", "herald"),
+            (69, "left", "timeout"), (73, "right", "herald"),
+            (76, "left", "herald"), (79, "right", "timeout"),
+        ),
+    ),
+    ("trace", "literal"): SimStats(
+        mode="literal",
+        cycles_run=3000,
+        warmup_cycles=12,
+        measured_cycles=2988,
+        tau_c_ns=500.0,
+        heralds_left=306,
+        heralds_right=298,
+        true_coincidences=25,
+        false_coincidences=0,
+        one_sided_confirms=9,
+        open_fraction=0.30823293172690763,
+        rate_hz=16733.601070950466,
+        infidelity_estimate=0.0,
+        trace=(
+            (2, "right", "herald"), (5, "left", "herald"),
+            (8, "left", "mismatch_reset"), (8, "right", "timeout"),
+            (10, "left", "herald"), (11, "right", "stale_ignored"),
+            (16, "left", "timeout"), (16, "right", "stale_ignored"),
+            (20, "left", "herald"), (23, "right", "herald"),
+            (26, "left", "timeout"), (26, "right", "mismatch_reset"),
+            (29, "left", "stale_ignored"), (32, "left", "herald"),
+            (38, "left", "timeout"), (38, "right", "stale_ignored"),
+            (39, "right", "herald"), (42, "left", "herald"),
+            (45, "left", "mismatch_reset"), (45, "right", "timeout"),
+            (46, "right", "herald"), (48, "right", "mismatch_reset"),
+            (51, "right", "herald"), (52, "left", "stale_ignored"),
+        ),
+    ),
+    ("n1", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=20000,
+        warmup_cycles=2,
+        measured_cycles=19998,
+        tau_c_ns=500.0,
+        heralds_left=4866,
+        heralds_right=4886,
+        true_coincidences=1221,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.6599659965996599,
+        rate_hz=122112.2112211221,
+        infidelity_estimate=0.0,
+        trace=(
+            (1, "left", "herald"), (2, "left", "timeout"),
+            (3, "left", "herald"), (4, "right", "herald"),
+            (4, "left", "timeout"), (10, "left", "herald"),
+        ),
+    ),
+    ("n1", "literal"): SimStats(
+        mode="literal",
+        cycles_run=20000,
+        warmup_cycles=2,
+        measured_cycles=19998,
+        tau_c_ns=500.0,
+        heralds_left=4686,
+        heralds_right=4603,
+        true_coincidences=1062,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.5886088608860887,
+        rate_hz=106210.6210621062,
+        infidelity_estimate=0.0,
+        trace=(
+            (1, "left", "herald"), (2, "left", "timeout"),
+            (2, "right", "stale_ignored"), (3, "left", "herald"),
+            (4, "left", "timeout"), (4, "right", "stale_ignored"),
+        ),
+    ),
+    ("beta_qd_1_lossless", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=2000,
+        warmup_cycles=14,
+        measured_cycles=1986,
+        tau_c_ns=500.0,
+        heralds_left=248,
+        heralds_right=248,
+        true_coincidences=248,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.12487411883182276,
+        rate_hz=249748.23766364547,
+        infidelity_estimate=0.0,
+        trace=(
+            (0, "left", "herald"), (0, "right", "herald"),
+            (7, "both", "confirm"), (8, "left", "herald"),
+            (8, "right", "herald"), (15, "both", "confirm"),
+        ),
+    ),
+    ("beta_qd_1_lossless", "literal"): SimStats(
+        mode="literal",
+        cycles_run=2000,
+        warmup_cycles=14,
+        measured_cycles=1986,
+        tau_c_ns=500.0,
+        heralds_left=248,
+        heralds_right=248,
+        true_coincidences=248,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.12487411883182276,
+        rate_hz=249748.23766364547,
+        infidelity_estimate=0.0,
+        trace=(
+            (0, "left", "herald"), (0, "right", "herald"),
+            (7, "left", "confirm"), (7, "right", "confirm"),
+            (8, "left", "herald"), (8, "right", "herald"),
+        ),
+    ),
+    ("beta_qd_1_dark", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=30000,
+        warmup_cycles=30,
+        measured_cycles=29970,
+        tau_c_ns=500.0,
+        heralds_left=1782,
+        heralds_right=1780,
+        true_coincidences=308,
+        false_coincidences=60,
+        one_sided_confirms=0,
+        open_fraction=0.1084084084084084,
+        rate_hz=24557.891224557887,
+        infidelity_estimate=0.16304347826086957,
+    ),
+    ("beta_qd_1_dark", "literal"): SimStats(
+        mode="literal",
+        cycles_run=30000,
+        warmup_cycles=30,
+        measured_cycles=29970,
+        tau_c_ns=500.0,
+        heralds_left=2419,
+        heralds_right=2419,
+        true_coincidences=57,
+        false_coincidences=6,
+        one_sided_confirms=233,
+        open_fraction=0.08985652318985653,
+        rate_hz=4204.204204204204,
+        infidelity_estimate=0.09523809523809523,
+    ),
+    ("beta_qd_0", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=5000,
+        warmup_cycles=20,
+        measured_cycles=4980,
+        tau_c_ns=500.0,
+        heralds_left=0,
+        heralds_right=0,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=1.0,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+    ),
+    ("beta_qd_0", "literal"): SimStats(
+        mode="literal",
+        cycles_run=5000,
+        warmup_cycles=20,
+        measured_cycles=4980,
+        tau_c_ns=500.0,
+        heralds_left=0,
+        heralds_right=0,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=1.0,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+    ),
+    ("beta_qd_0_dark", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=40000,
+        warmup_cycles=20,
+        measured_cycles=39980,
+        tau_c_ns=500.0,
+        heralds_left=2212,
+        heralds_right=2232,
+        true_coincidences=0,
+        false_coincidences=159,
+        one_sided_confirms=0,
+        open_fraction=0.34029514757378687,
+        rate_hz=7953.976988494245,
+        infidelity_estimate=1.0,
+    ),
+    ("beta_qd_0_dark", "literal"): SimStats(
+        mode="literal",
+        cycles_run=40000,
+        warmup_cycles=20,
+        measured_cycles=39980,
+        tau_c_ns=500.0,
+        heralds_left=2317,
+        heralds_right=2313,
+        true_coincidences=0,
+        false_coincidences=90,
+        one_sided_confirms=49,
+        open_fraction=0.34532266133066536,
+        rate_hz=4502.2511255627805,
+        infidelity_estimate=1.0,
+    ),
+    ("short_run", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=500,
+        warmup_cycles=200,
+        measured_cycles=300,
+        tau_c_ns=500.0,
+        heralds_left=3,
+        heralds_right=3,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.02,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+        trace=(
+            (0, "left", "herald"), (5, "right", "herald"),
+            (100, "left", "timeout"), (105, "right", "herald"),
+            (108, "left", "herald"), (205, "right", "timeout"),
+            (208, "left", "herald"), (213, "right", "herald"),
+            (308, "left", "timeout"),
+        ),
+    ),
+    ("short_run", "literal"): SimStats(
+        mode="literal",
+        cycles_run=500,
+        warmup_cycles=200,
+        measured_cycles=300,
+        tau_c_ns=500.0,
+        heralds_left=4,
+        heralds_right=4,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.013333333333333334,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+        trace=(
+            (0, "left", "herald"), (5, "right", "herald"),
+            (100, "left", "timeout"), (100, "right", "mismatch_reset"),
+            (105, "left", "stale_ignored"), (105, "right", "herald"),
+            (108, "left", "herald"), (205, "left", "mismatch_reset"),
+            (205, "right", "timeout"),
+        ),
+    ),
+    ("no_measured", "omniscient"): SimStats(
+        mode="omniscient",
+        cycles_run=150,
+        warmup_cycles=150,
+        measured_cycles=0,
+        tau_c_ns=500.0,
+        heralds_left=0,
+        heralds_right=0,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.0,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+    ),
+    ("no_measured", "literal"): SimStats(
+        mode="literal",
+        cycles_run=150,
+        warmup_cycles=150,
+        measured_cycles=0,
+        tau_c_ns=500.0,
+        heralds_left=0,
+        heralds_right=0,
+        true_coincidences=0,
+        false_coincidences=0,
+        one_sided_confirms=0,
+        open_fraction=0.0,
+        rate_hz=0.0,
+        infidelity_estimate=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case, mode", sorted(GOLDEN_STATS))
+def test_golden_stats_pinned(case, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # short runs warn by design
+        config = SimConfig(mode=SimMode.from_key(mode), **GOLDEN_CASES[case])
+    assert des_run(config) == GOLDEN_STATS[case, mode]
