@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -37,6 +38,9 @@ CONFIG_ENV_VAR = "MPSLINK_CONFIG"
 
 CSV_HEADER = "distance_km,tau_t_us,alpha1_db,alpha2_db,g1_hz,g2_hz,g2_star_hz,ratio"
 CSV_SIM_HEADER = CSV_HEADER + ",sim_g2_hz,sim_infidelity"
+
+# Longest accepted distance sweep; a typo in ``step`` must fail, not exhaust memory.
+_MAX_SWEEP_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -150,6 +154,11 @@ def _parse_value(key: str, raw: str, where: str) -> object:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """Distances ``start + k*step`` up to ``stop`` (1e-9 km slack), rounded to 1e-9 km.
+
+    Each point is computed from its index, not by accumulating ``step``, so
+    a distance (and the per-point seed derived from it) does not drift.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep must be start:stop:step in km, got {text!r}")
@@ -157,14 +166,14 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ConfigError(f"sweep must be numeric start:stop:step, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"sweep must be finite start:stop:step, got {text!r}")
     if start <= 0 or stop < start or step <= 0:
         raise ConfigError(f"sweep needs 0 < start <= stop and step > 0, got {text!r}")
-    distances = []
-    value = start
-    while value <= stop + 1e-9:
-        distances.append(round(value, 9))
-        value += step
-    return distances
+    steps = (stop - start + 1e-9) / step
+    if steps >= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep {text!r} has more than {_MAX_SWEEP_POINTS} points")
+    return [round(start + k * step, 9) for k in range(math.floor(steps) + 1)]
 
 
 def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
@@ -422,7 +431,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 # Reference loss profiles for the preset distance sweep: (alpha_qd_db, alpha_bsm_db).
 FIG4_PROFILES = {"square": (10.0, 5.0), "triangle": (20.0, 10.0)}
-FIG4_SCHEMES = ("mpi", "mps")
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
@@ -436,11 +444,10 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
             config.to_config_text(),
             {"alpha_qd_db": alpha_qd, "alpha_bsm_db": alpha_bsm},
         )
-        reports = sweep_rates(profile_config, distances)
-        for scheme in FIG4_SCHEMES:
-            path = outdir / f"fig4_{profile}_{scheme}.csv"
-            emit(reports, "csv", path)
-            written.append(path)
+        # One table per profile: its rows carry both schemes (g1 for MPI, g2 for MPS).
+        path = outdir / f"fig4_{profile}.csv"
+        emit(sweep_rates(profile_config, distances), "csv", path)
+        written.append(path)
     sys.stdout.write("\n".join(str(path) for path in written) + "\n")
     return 0
 
@@ -476,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fig4", help="preset 10-100 km sweep at two reference loss profiles"
     )
     _add_config_flags(fig4)
-    fig4.add_argument("--outdir", default=".", help="directory for the four CSV files")
+    fig4.add_argument(
+        "--outdir", default=".", help="directory for the CSV files, one per loss profile"
+    )
     fig4.set_defaults(func=_cmd_fig4)
 
     return parser

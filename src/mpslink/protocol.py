@@ -15,12 +15,21 @@ Two information models are implemented:
   each instantly knew about the other's heralds, reproducing the Markov
   chain of :mod:`mpslink.markov` exactly.
 
-The engine is event-driven: while nothing can happen, whole stretches of
-idle cycles are skipped by sampling the next herald time from a geometric
-law, which is distribution-exact because attempts are independent per
-cycle.  All randomness is keyed by (seed, side, cycle, purpose) through
-:mod:`mpslink.rng`, so runs are reproducible and the two modes can be
-compared on paired seeds.
+Both engines are event-driven: while nothing can happen, whole stretches
+of idle cycles are skipped by sampling the next herald time from a
+geometric law, which is distribution-exact because attempts are
+independent per cycle.  All randomness is keyed by (seed, side, cycle,
+purpose) through :mod:`mpslink.rng`, so runs are reproducible and the two
+modes can be compared on paired seeds.
+
+:func:`receiver_step` states one receiver's transition rule on readable
+dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
+The engines do not call it: they index the two sides as ``0`` (left) and
+``1`` (right) and keep per-side state in plain ints, lists and tuples, and
+the literal engine applies the same rule inline, so no object is allocated
+per event.  The tests drive a loop over :func:`receiver_step` as the
+reference the literal engine must match field for field.  Invariant
+violations raise :class:`InvariantError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -106,6 +115,19 @@ class ClassicalMessage:
         return cls(origin=origin, bin=bin, arrival=bin + n, true_herald=true_herald)
 
 
+class InvariantError(AssertionError):
+    """A simulator invariant failed: an engine bug, not a runtime condition.
+
+    Raised explicitly rather than by ``assert`` so the checks also run
+    under ``python -O``.
+    """
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantError(message)
+
+
 @dataclass(frozen=True)
 class StepEvent:
     kind: str  # herald | confirm | mismatch_reset | timeout | stale_ignored
@@ -128,16 +150,18 @@ def receiver_step(
     announcing the success bin to the other side.
     """
     inbox = list(inbox)
-    # Message timing violations are simulator bugs, not runtime conditions.
-    assert all(msg.arrival == cycle and msg.arrival - msg.bin == n for msg in inbox)
-    assert len(inbox) <= 1, "one sender can have at most one announcement per cycle"
+    _require(
+        all(msg.arrival == cycle and msg.arrival - msg.bin == n for msg in inbox),
+        f"cycle {cycle}: a message arrived off its bin + n schedule",
+    )
+    _require(len(inbox) <= 1, "one sender can have at most one announcement per cycle")
 
     events: list[StepEvent] = []
     outgoing: list[ClassicalMessage] = []
 
     if isinstance(state, Closed):
-        assert local_herald is None, "a closed receiver cannot herald"
-        assert state.deadline - state.bin == n
+        _require(local_herald is None, "a closed receiver cannot herald")
+        _require(state.deadline - state.bin == n, "a held bin's deadline is not bin + n")
         if inbox:
             msg = inbox[0]
             if msg.bin == state.bin:
@@ -160,7 +184,7 @@ def receiver_step(
         # An announcement landing on an open receiver carries no news.
         events.append(StepEvent("stale_ignored", bin=inbox[0].bin))
     if local_herald is not None:
-        assert local_herald.cycle == cycle
+        _require(local_herald.cycle == cycle, "a local herald is not from this cycle")
         truth = local_herald.kind is HeraldKind.TRUE_HERALD
         outgoing.append(ClassicalMessage.announce(local_herald.side, cycle, n, truth))
         events.append(StepEvent("herald", bin=cycle))
@@ -376,6 +400,10 @@ def write_trace_csv(stats: SimStats, destination) -> None:
             handle.write(text)
 
 
+# Side indices of the engines; the strings key the rng draws and the trace.
+_SIDE_KEYS = tuple(side.value for side in Side)
+
+
 class _HeraldStream:
     """Deterministic herald times and kinds, keyed by (side, cycle).
 
@@ -383,7 +411,8 @@ class _HeraldStream:
     receiver that attempts every cycle with probability ``p_any``; skipping
     the failed cycles via the geometric law is exact because attempts are
     independent.  Keying by the opening cycle (rather than a call counter)
-    lets runs in different modes re-synchronise on the same seed.
+    lets runs in different modes re-synchronise on the same seed.  Sides
+    are the engine indices 0 (left) and 1 (right).
     """
 
     def __init__(self, seed: int, model: HeraldModel):
@@ -392,77 +421,61 @@ class _HeraldStream:
         self._true_fraction = model.true_fraction
         self._log_fail = math.log1p(-self._q) if 0.0 < self._q < 1.0 else None
 
-    def next_herald(self, side: Side, open_from: int) -> int:
+    def next_herald(self, side: int, open_from: int) -> int:
         if self._q <= 0.0:
             return _NEVER
         if self._q >= 1.0:
             return open_from
-        u = u01(self._seed, side.value, open_from, "gap")
+        u = u01(self._seed, _SIDE_KEYS[side], open_from, "gap")
         gap = math.ceil(math.log1p(-u) / self._log_fail)
         return open_from + max(1, gap) - 1
 
-    def kind(self, side: Side, cycle: int) -> HeraldKind:
+    def is_true(self, side: int, cycle: int) -> bool:
+        """Whether the herald of ``side`` at ``cycle`` is genuine."""
         if self._true_fraction >= 1.0:
-            return HeraldKind.TRUE_HERALD
-        genuine = u01(self._seed, side.value, cycle, "kind") < self._true_fraction
-        return HeraldKind.TRUE_HERALD if genuine else HeraldKind.FALSE_HERALD
+            return True
+        return u01(self._seed, _SIDE_KEYS[side], cycle, "kind") < self._true_fraction
 
 
-class _Accumulator:
-    def __init__(self, total: int, warmup: int, trace_limit: int):
-        self.total = total
-        self.warmup = warmup
-        self.both_open = 0
-        self.heralds = {Side.LEFT: 0, Side.RIGHT: 0}
-        self.true_pairs = 0
-        self.false_pairs = 0
-        self.one_sided = 0
-        self.trace: list[tuple[int, str, str]] = []
-        self.trace_limit = trace_limit
+def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
+    """Measured cycles in the both-open span ``[lo, hi]``."""
+    lo = max(lo, warmup)
+    hi = min(hi, total - 1)
+    return hi - lo + 1 if hi >= lo else 0
 
-    def add_open_span(self, lo: int, hi: int) -> None:
-        lo = max(lo, self.warmup)
-        hi = min(hi, self.total - 1)
-        if hi >= lo:
-            self.both_open += hi - lo + 1
 
-    def herald(self, side: Side, cycle: int) -> None:
-        if self.warmup <= cycle < self.total:
-            self.heralds[side] += 1
-
-    def pair(self, bin: int, pair_true: bool) -> None:
-        if bin < self.warmup:
-            return
-        if pair_true:
-            self.true_pairs += 1
-        else:
-            self.false_pairs += 1
-
-    def note(self, cycle: int, side: str, event: str) -> None:
-        if len(self.trace) < self.trace_limit:
-            self.trace.append((cycle, side, event))
-
-    def finish(self, config: SimConfig, mode: SimMode) -> SimStats:
-        measured = self.total - self.warmup
-        pairs = self.true_pairs + self.false_pairs
-        tau_c_s = config.tau_c_ns * 1e-9
-        rate = pairs / (measured * tau_c_s) if measured > 0 else 0.0
-        return SimStats(
-            mode=mode.value,
-            cycles_run=self.total,
-            warmup_cycles=self.warmup,
-            measured_cycles=measured,
-            tau_c_ns=config.tau_c_ns,
-            heralds_left=self.heralds[Side.LEFT],
-            heralds_right=self.heralds[Side.RIGHT],
-            true_coincidences=self.true_pairs,
-            false_coincidences=self.false_pairs,
-            one_sided_confirms=self.one_sided,
-            open_fraction=self.both_open / measured if measured > 0 else 0.0,
-            rate_hz=rate,
-            infidelity_estimate=(self.false_pairs / pairs) if pairs > 0 else None,
-            trace=tuple(self.trace),
-        )
+def _sim_stats(
+    config: SimConfig,
+    mode: SimMode,
+    heralds: list[int],
+    true_pairs: int,
+    false_pairs: int,
+    one_sided: int,
+    both_open: int,
+    trace: list[tuple[int, str, str]],
+) -> SimStats:
+    """Turn one engine's counts into :class:`SimStats`."""
+    total, warmup = config.total_cycles, config.warmup_cycles
+    measured = total - warmup
+    pairs = true_pairs + false_pairs
+    tau_c_s = config.tau_c_ns * 1e-9
+    rate = pairs / (measured * tau_c_s) if measured > 0 else 0.0
+    return SimStats(
+        mode=mode.value,
+        cycles_run=total,
+        warmup_cycles=warmup,
+        measured_cycles=measured,
+        tau_c_ns=config.tau_c_ns,
+        heralds_left=heralds[0],
+        heralds_right=heralds[1],
+        true_coincidences=true_pairs,
+        false_coincidences=false_pairs,
+        one_sided_confirms=one_sided,
+        open_fraction=both_open / measured if measured > 0 else 0.0,
+        rate_hz=rate,
+        infidelity_estimate=(false_pairs / pairs) if pairs > 0 else None,
+        trace=tuple(trace),
+    )
 
 
 def _run_omniscient(config: SimConfig) -> SimStats:
@@ -474,140 +487,172 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     case both sides reopen together right after the first herald's deadline,
     discarding a herald that lands on the final closed cycle.
     """
-    n, total = config.n, config.total_cycles
+    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    trace_limit = config.trace_limit
     stream = _HeraldStream(config.seed, config.herald)
-    acc = _Accumulator(total, config.warmup_cycles, config.trace_limit)
+    heralds = [0, 0]
+    true_pairs = false_pairs = both_open = 0
+    trace: list[tuple[int, str, str]] = []
 
-    pending = {
-        Side.LEFT: stream.next_herald(Side.LEFT, 0),
-        Side.RIGHT: stream.next_herald(Side.RIGHT, 0),
-    }
+    pending = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
     t0 = 0
     while t0 < total:
-        t_first = min(pending[Side.LEFT], pending[Side.RIGHT])
+        t_first = min(pending)
         if t_first >= total:
-            acc.add_open_span(t0, total - 1)
+            both_open += _open_cycles(t0, total - 1, warmup, total)
             break
-        acc.add_open_span(t0, t_first)
-        if pending[Side.LEFT] == pending[Side.RIGHT]:
+        both_open += _open_cycles(t0, t_first, warmup, total)
+        if pending[0] == pending[1]:
             bin = t_first
-            kinds = {side: stream.kind(side, bin) for side in Side}
-            for side in Side:
-                acc.herald(side, bin)
-                acc.note(bin, side.value, "herald")
+            # Both kinds are drawn, as the pair needs both to be genuine.
+            true_left = stream.is_true(0, bin)
+            true_right = stream.is_true(1, bin)
+            for side in (0, 1):
+                if bin >= warmup:
+                    heralds[side] += 1
+                if len(trace) < trace_limit:
+                    trace.append((bin, _SIDE_KEYS[side], "herald"))
             confirm = bin + n
             if confirm < total:
-                acc.pair(bin, all(k is HeraldKind.TRUE_HERALD for k in kinds.values()))
-                acc.note(confirm, "both", "confirm")
+                if bin >= warmup:
+                    if true_left and true_right:
+                        true_pairs += 1
+                    else:
+                        false_pairs += 1
+                if len(trace) < trace_limit:
+                    trace.append((confirm, "both", "confirm"))
             t0 = confirm + 1
             if t0 >= total:
                 break
-            pending = {side: stream.next_herald(side, t0) for side in Side}
+            pending = [stream.next_herald(0, t0), stream.next_herald(1, t0)]
         else:
-            first = Side.LEFT if pending[Side.LEFT] < pending[Side.RIGHT] else Side.RIGHT
-            second = first.other
+            first = 0 if pending[0] < pending[1] else 1
+            second = 1 - first
             bin = pending[first]
-            acc.herald(first, bin)
-            acc.note(bin, first.value, "herald")
-            reopen = bin + n + 1
-            if pending[second] <= bin + n:
+            if bin >= warmup:
+                heralds[first] += 1
+            if len(trace) < trace_limit:
+                trace.append((bin, _SIDE_KEYS[first], "herald"))
+            late = pending[second]
+            second_consumed = late <= bin + n
+            if second_consumed and late < total:
                 # The open side heralded into the closed window; both reopen
                 # together at the first side's deadline.
-                if pending[second] < total:
-                    acc.herald(second, pending[second])
-                    acc.note(pending[second], second.value, "herald")
-                second_consumed = True
-            else:
-                second_consumed = False
-            acc.note(min(bin + n, total - 1), first.value, "timeout")
-            t0 = reopen
+                if late >= warmup:
+                    heralds[second] += 1
+                if len(trace) < trace_limit:
+                    trace.append((late, _SIDE_KEYS[second], "herald"))
+            if len(trace) < trace_limit:
+                trace.append((min(bin + n, total - 1), _SIDE_KEYS[first], "timeout"))
+            t0 = bin + n + 1
             if t0 >= total:
                 break
             pending[first] = stream.next_herald(first, t0)
             if second_consumed:
                 pending[second] = stream.next_herald(second, t0)
-    return acc.finish(config, SimMode.OMNISCIENT)
+    return _sim_stats(
+        config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
+    )
 
 
 def _run_literal(config: SimConfig) -> SimStats:
-    """Event-driven run of the literal message protocol via :func:`receiver_step`."""
-    n, total = config.n, config.total_cycles
+    """Event-driven run of the literal message protocol.
+
+    Applies the :func:`receiver_step` rule inline on int-indexed state: per
+    side, the held bin (-1 while open), its truth and the next herald
+    cycle, plus a queue of in-flight ``(arrival, bin, true)`` announcements
+    addressed to that side.  Within a cycle the left side acts first.
+    """
+    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    trace_limit = config.trace_limit
     stream = _HeraldStream(config.seed, config.herald)
-    acc = _Accumulator(total, config.warmup_cycles, config.trace_limit)
+    heralds = [0, 0]
+    true_pairs = false_pairs = one_sided = both_open = 0
+    trace: list[tuple[int, str, str]] = []
 
-    state: dict[Side, ReceiverState] = {Side.LEFT: OPEN, Side.RIGHT: OPEN}
-    next_herald = {
-        Side.LEFT: stream.next_herald(Side.LEFT, 0),
-        Side.RIGHT: stream.next_herald(Side.RIGHT, 0),
-    }
-    inflight: dict[Side, deque[ClassicalMessage]] = {
-        Side.LEFT: deque(),
-        Side.RIGHT: deque(),
-    }
-
-    both_open = True
-    both_open_since = 0
-
-    def record_status(change_cycle: int, now_open: bool) -> None:
-        nonlocal both_open, both_open_since
-        if now_open != both_open:
-            if both_open:
-                acc.add_open_span(both_open_since, change_cycle - 1)
-            both_open = now_open
-            both_open_since = change_cycle
+    held = [-1, -1]
+    held_true = [True, True]
+    next_herald = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
+    inflight: tuple[deque[tuple[int, int, bool]], ...] = (deque(), deque())
+    inbox_left, inbox_right = inflight
+    open_now, open_since = True, 0
 
     while True:
-        candidates = []
-        for side in Side:
-            if isinstance(state[side], Closed):
-                candidates.append(state[side].deadline)
-            else:
-                candidates.append(next_herald[side])
-            if inflight[side]:
-                candidates.append(inflight[side][0].arrival)
-        t = min(candidates)
+        t = held[0] + n if held[0] >= 0 else next_herald[0]
+        t_right = held[1] + n if held[1] >= 0 else next_herald[1]
+        if t_right < t:
+            t = t_right
+        if inbox_left and inbox_left[0][0] < t:
+            t = inbox_left[0][0]
+        if inbox_right and inbox_right[0][0] < t:
+            t = inbox_right[0][0]
         if t >= total:
             break
 
-        confirms: dict[Side, StepEvent] = {}
-        for side in Side:
-            inbox = []
-            while inflight[side] and inflight[side][0].arrival == t:
-                inbox.append(inflight[side].popleft())
-            local = None
-            if isinstance(state[side], Open) and next_herald[side] == t:
-                local = HeraldRecord(cycle=t, side=side, kind=stream.kind(side, t))
-                acc.herald(side, t)
-            due = isinstance(state[side], Closed) and state[side].deadline == t
-            if local is None and not inbox and not due:
-                continue
-            new_state, outgoing, events = receiver_step(state[side], t, local, inbox, n)
-            for msg in outgoing:
-                inflight[side.other].append(msg)
-            for event in events:
-                acc.note(t, side.value, event.kind)
-                if event.kind == "confirm":
-                    confirms[side] = event
-            if isinstance(new_state, Closed):
-                next_herald[side] = _NEVER
-            elif isinstance(state[side], Closed):
+        confirms = 0
+        for side in (0, 1):
+            inbox = inflight[side]
+            msg = inbox.popleft() if inbox and inbox[0][0] == t else None
+            bin = held[side]
+            if bin >= 0:
+                if msg is not None:
+                    if msg[1] == bin:
+                        event = "confirm"
+                        pair = (bin, held_true[side] and msg[2])
+                        if confirms and pair != confirmed:
+                            raise InvariantError(
+                                f"cycle {t}: the two sides confirmed different pairs"
+                                f" {confirmed} and {pair}"
+                            )
+                        confirmed = pair
+                        confirms += 1
+                    else:
+                        event = "mismatch_reset"
+                elif t == bin + n:
+                    event = "timeout"
+                else:
+                    continue
+                if len(trace) < trace_limit:
+                    trace.append((t, _SIDE_KEYS[side], event))
+                held[side] = -1
                 next_herald[side] = stream.next_herald(side, t + 1)
-            state[side] = new_state
+            else:
+                if msg is not None and len(trace) < trace_limit:
+                    # An announcement landing on an open receiver carries no news.
+                    trace.append((t, _SIDE_KEYS[side], "stale_ignored"))
+                if next_herald[side] == t:
+                    truth = stream.is_true(side, t)
+                    if t >= warmup:
+                        heralds[side] += 1
+                    if len(trace) < trace_limit:
+                        trace.append((t, _SIDE_KEYS[side], "herald"))
+                    held[side] = t
+                    held_true[side] = truth
+                    next_herald[side] = _NEVER
+                    inflight[1 - side].append((t + n, t, truth))
 
-        if len(confirms) == 2:
-            left, right = confirms[Side.LEFT], confirms[Side.RIGHT]
-            assert left.bin == right.bin and left.pair_true == right.pair_true
-            acc.pair(left.bin, bool(left.pair_true))
-        elif len(confirms) == 1:
+        if confirms == 2:
+            if confirmed[0] >= warmup:
+                if confirmed[1]:
+                    true_pairs += 1
+                else:
+                    false_pairs += 1
+        elif confirms == 1:
             # The other side was reset by a stale announcement and its spin
             # is gone; the lone confirmation does not yield a pair.
-            acc.one_sided += 1
+            one_sided += 1
 
-        record_status(t + 1, all(isinstance(state[side], Open) for side in Side))
+        if (held[0] < 0 and held[1] < 0) != open_now:
+            if open_now:
+                both_open += _open_cycles(open_since, t, warmup, total)
+            open_now = not open_now
+            open_since = t + 1
 
-    if both_open:
-        acc.add_open_span(both_open_since, total - 1)
-    return acc.finish(config, SimMode.LITERAL)
+    if open_now:
+        both_open += _open_cycles(open_since, total - 1, warmup, total)
+    return _sim_stats(
+        config, SimMode.LITERAL, heralds, true_pairs, false_pairs, one_sided, both_open, trace
+    )
 
 
 def des_run(config: SimConfig) -> SimStats:

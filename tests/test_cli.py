@@ -73,6 +73,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config("sweep=10:5:1")
 
+    def test_oversized_sweep_fails_fast(self):
+        # 9e10 points: rejected from its bounds before any list is built.
+        with pytest.raises(ConfigError, match=r"line 1 \(sweep\).*more than 100000 points"):
+            parse_config("sweep=10:100:1e-9")
+
+    def test_default_sweep_distances_bit_identical(self):
+        # derive_seed keys each point's seed on its distance, so the default
+        # grid must give exactly the floats 10.0, 15.0, ..., 100.0.
+        distances = parse_config("sweep=10:100:5").sweep_distances()
+        assert [d.hex() for d in distances] == [float(k).hex() for k in range(10, 101, 5)]
+
 
 def _report(distance=50.0, sim=False):
     return RateReport(
@@ -195,15 +206,15 @@ class TestSubcommands:
         for key in ("mps_infidelity", "mpi_infidelity", "mc_infidelity", "mc_pairs"):
             assert key in payload
 
-    def test_fig4_writes_four_monotone_csvs(self, tmp_path, capsys):
+    def test_fig4_writes_one_monotone_csv_per_profile(self, tmp_path, capsys):
         assert main(["fig4", "--outdir", str(tmp_path)]) == 0
         paths = sorted(tmp_path.glob("fig4_*.csv"))
-        assert [p.name for p in paths] == [
-            "fig4_square_mpi.csv",
-            "fig4_square_mps.csv",
-            "fig4_triangle_mpi.csv",
-            "fig4_triangle_mps.csv",
+        assert [p.name for p in paths] == ["fig4_square.csv", "fig4_triangle.csv"]
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "fig4_square.csv"),
+            str(tmp_path / "fig4_triangle.csv"),
         ]
+        assert paths[0].read_text() != paths[1].read_text()
         for path in paths:
             lines = path.read_text().splitlines()
             assert lines[0] == CSV_HEADER

@@ -3,7 +3,11 @@
 import io
 import math
 import random
+import subprocess
+import sys
 import warnings
+from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from mpslink import (
     Closed,
     HeraldKind,
     HeraldRecord,
+    InvariantError,
     LossBudget,
     OPEN,
     Open,
@@ -31,6 +36,7 @@ from mpslink import (
     stationary_open_prob,
     write_trace_csv,
 )
+from mpslink.protocol import _NEVER, _HeraldStream, _open_cycles, _sim_stats
 
 
 def _enumerated_side_probs(beta_qd, beta_ms, p_dc, variant):
@@ -139,12 +145,31 @@ class TestReceiverStep:
         assert events == []
 
     def test_closed_receiver_cannot_herald(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError, match="closed receiver cannot herald"):
             receiver_step(Closed(bin=7, deadline=17), 9, _herald(9), [], self.N)
 
     def test_misdelivered_message_is_a_bug(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError, match="off its bin \\+ n schedule"):
             receiver_step(OPEN, 12, None, [_message(3, self.N)], self.N)
+
+    def test_invariant_checks_survive_optimized_mode(self):
+        code = (
+            "from mpslink import Closed, InvariantError, receiver_step\n"
+            "print('debug:', __debug__)\n"
+            "try:\n"
+            "    receiver_step(Closed(bin=7, deadline=17), 12, None, [], 5)\n"
+            "except InvariantError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines() == [
+            "debug: False",
+            "raised: a held bin's deadline is not bin + n",
+        ]
 
 
 class TestLiteralScenario:
@@ -177,6 +202,119 @@ class TestLiteralScenario:
         right, _, ev_r = receiver_step(right, 7, None, msgs_l, n)
         assert ev_l[0].kind == "confirm" and ev_r[0].kind == "confirm"
         assert ev_l[0].bin == ev_r[0].bin == 3
+
+
+def _reference_literal(config):
+    """The literal protocol driven through :func:`receiver_step`, one event at a time.
+
+    This is the readable form of the transition rule that ``des_run``
+    inlines on ints in literal mode; the two must agree field for field.
+    """
+    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    stream = _HeraldStream(config.seed, config.herald)
+    sides = tuple(Side)  # engine index 0 is Side.LEFT
+    heralds = [0, 0]
+    true_pairs = false_pairs = one_sided = both_open = 0
+    trace = []
+
+    def note(cycle, side, event):
+        if len(trace) < config.trace_limit:
+            trace.append((cycle, side, event))
+
+    state = {side: OPEN for side in Side}
+    next_herald = {side: stream.next_herald(i, 0) for i, side in enumerate(sides)}
+    inflight = {side: deque() for side in Side}
+    now_open, open_since = True, 0
+
+    while True:
+        candidates = []
+        for side in Side:
+            if isinstance(state[side], Closed):
+                candidates.append(state[side].deadline)
+            else:
+                candidates.append(next_herald[side])
+            if inflight[side]:
+                candidates.append(inflight[side][0].arrival)
+        t = min(candidates)
+        if t >= total:
+            break
+
+        confirms = {}
+        for i, side in enumerate(sides):
+            inbox = []
+            while inflight[side] and inflight[side][0].arrival == t:
+                inbox.append(inflight[side].popleft())
+            local = None
+            if isinstance(state[side], Open) and next_herald[side] == t:
+                truth = stream.is_true(i, t)
+                kind = HeraldKind.TRUE_HERALD if truth else HeraldKind.FALSE_HERALD
+                local = HeraldRecord(cycle=t, side=side, kind=kind)
+                if t >= warmup:
+                    heralds[i] += 1
+            due = isinstance(state[side], Closed) and state[side].deadline == t
+            if local is None and not inbox and not due:
+                continue
+            new_state, outgoing, events = receiver_step(state[side], t, local, inbox, n)
+            inflight[side.other].extend(outgoing)
+            for event in events:
+                note(t, side.value, event.kind)
+                if event.kind == "confirm":
+                    confirms[side] = event
+            if isinstance(new_state, Closed):
+                next_herald[side] = _NEVER
+            elif isinstance(state[side], Closed):
+                next_herald[side] = stream.next_herald(i, t + 1)
+            state[side] = new_state
+
+        if len(confirms) == 2:
+            left, right = confirms[Side.LEFT], confirms[Side.RIGHT]
+            assert left.bin == right.bin and left.pair_true == right.pair_true
+            if left.bin >= warmup:
+                if left.pair_true:
+                    true_pairs += 1
+                else:
+                    false_pairs += 1
+        elif len(confirms) == 1:
+            one_sided += 1
+
+        all_open = all(isinstance(state[side], Open) for side in Side)
+        if all_open != now_open:
+            if now_open:
+                both_open += _open_cycles(open_since, t, warmup, total)
+            now_open, open_since = all_open, t + 1
+
+    if now_open:
+        both_open += _open_cycles(open_since, total - 1, warmup, total)
+    return _sim_stats(
+        config, SimMode.LITERAL, heralds, true_pairs, false_pairs, one_sided, both_open, trace
+    )
+
+
+def _random_small_config(rng):
+    n = rng.choice([1, 2, 3, 5, 8, 20])
+    beta_qd = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+    beta_ms = rng.choice([1.0, rng.random(), rng.random() ** 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # some runs are shorter than 10n
+        return SimConfig(
+            beta_qd=beta_qd,
+            beta_ms=beta_ms,
+            n=n,
+            total_cycles=rng.choice([n, 3 * n, rng.randint(1, 3000)]),
+            seed=rng.randrange(1 << 30),
+            p_dc=rng.choice([0.0, 0.0, 0.01, 0.2]),
+            bsm_variant=rng.choice(list(BsmVariant)),
+            mode=SimMode.LITERAL,
+            trace_limit=rng.choice([0, 4, 100]),
+        )
+
+
+class TestLiteralEngineMatchesReceiverStep:
+    def test_random_small_configs(self):
+        rng = random.Random(20131)
+        for _ in range(200):
+            config = _random_small_config(rng)
+            assert des_run(config) == _reference_literal(config), config
 
 
 class TestSimConfig:
