@@ -11,24 +11,24 @@ times out after ``n`` cycles unless the other side heralds meanwhile, in
 which case both sides reopen together at the earlier deadline.  Collapsing
 each row ``i`` into a single state yields an equivalent ``n + 1``-state
 chain whose equilibrium is available in closed form.
+
+Every state but ``(0,0)`` moves one cycle closer to reopening, so the chain
+is a ring with a single branch point.  ``stationary`` walks that ring in
+O(n) time and memory instead of solving a linear system.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
-
-# Above this many states the stationary solve stays in sparse LU.
-_DENSE_LIMIT = 4000
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
@@ -39,17 +39,28 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """Immutable chain: row-stochastic sparse transitions plus state labels."""
+    """Immutable chain: row-stochastic sparse transitions, labelled on demand."""
 
     n: int
     p: float
     kind: str  # "full" or "collapsed"
-    labels: tuple[str, ...]
     matrix: sp.csr_matrix
 
     @property
     def num_states(self) -> int:
-        return len(self.labels)
+        return self.matrix.shape[0]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        rows = range(1, self.n + 1)
+        if self.kind == "collapsed":
+            return ("[0]", *(f"[{i}]" for i in rows))
+        return (
+            "(0,0)",
+            *(f"({i},0)" for i in rows),
+            *(f"(0,{i})" for i in rows),
+            *(f"({i},{i})" for i in rows),
+        )
 
     def index_of(self, label: str) -> int:
         try:
@@ -57,172 +68,77 @@ class Chain:
         except ValueError:
             raise KeyError(f"no state labeled {label!r}") from None
 
-    def to_dict(self) -> dict:
-        coo = self.matrix.tocoo()
-        transitions: dict[str, dict[str, float]] = {label: {} for label in self.labels}
-        for i, j, value in zip(coo.row, coo.col, coo.data):
-            transitions[self.labels[i]][self.labels[j]] = float(value)
-        return {
-            "n": self.n,
-            "p": self.p,
-            "kind": self.kind,
-            "states": list(self.labels),
-            "transitions": transitions,
-        }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+def _csr(rows: tuple, cols: tuple, vals: tuple, size: int) -> sp.csr_matrix:
+    """CSR matrix from the concatenated COO pieces, dropping zero probabilities."""
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def full_chain(n: int, p: float) -> Chain:
     """Build the ``3n + 1``-state chain of the two-receiver protocol.
 
-    From ``(0,0)`` a cycle yields two heralds with probability ``p**2``
-    (both close for ``n`` cycles), one herald with ``p(1-p)`` each side, or
-    none.  While one side is closed the open side's herald drags both onto
-    the diagonal; a herald during the final closed cycle is discarded so the
-    pair of receivers still reopens together.
+    States are indexed ``(0,0)`` = 0, ``(i,0)`` = i, ``(0,i)`` = n + i and
+    ``(i,i)`` = 2n + i.  From ``(0,0)`` a cycle yields two heralds with
+    probability ``p**2`` (both close for ``n`` cycles), one herald with
+    ``p(1-p)`` each side, or none.  While one side is closed the open side's
+    herald drags both onto the diagonal; a herald during the final closed
+    cycle is discarded so the pair of receivers still reopens together.
     """
     _check_n(n)
     _check_p(p)
-
-    def idx(i: int, j: int) -> int:
-        if i == 0 and j == 0:
-            return 0
-        if j == 0:
-            return i
-        if i == 0:
-            return n + j
-        return 2 * n + i
-
-    labels = ["(0,0)"]
-    labels += [f"({i},0)" for i in range(1, n + 1)]
-    labels += [f"(0,{i})" for i in range(1, n + 1)]
-    labels += [f"({i},{i})" for i in range(1, n + 1)]
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add(src: int, dst: int, prob: float) -> None:
-        if prob > 0.0:
-            rows.append(src)
-            cols.append(dst)
-            vals.append(prob)
-
     q = 1.0 - p
-    add(idx(0, 0), idx(n, n), p * p)
-    add(idx(0, 0), idx(n, 0), p * q)
-    add(idx(0, 0), idx(0, n), p * q)
-    add(idx(0, 0), idx(0, 0), q * q)
-
-    for i in range(2, n + 1):
-        add(idx(i, 0), idx(i - 1, i - 1), p)
-        add(idx(i, 0), idx(i - 1, 0), q)
-        add(idx(0, i), idx(i - 1, i - 1), p)
-        add(idx(0, i), idx(0, i - 1), q)
-        add(idx(i, i), idx(i - 1, i - 1), 1.0)
-    add(idx(1, 0), idx(0, 0), 1.0)
-    add(idx(0, 1), idx(0, 0), 1.0)
-    add(idx(1, 1), idx(0, 0), 1.0)
-
-    size = 3 * n + 1
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    return Chain(n=n, p=p, kind="full", labels=tuple(labels), matrix=matrix)
+    i = np.arange(2, n + 1)  # rows that step down to row i - 1
+    ps, qs, ones = np.full(n - 1, p), np.full(n - 1, q), np.ones(n - 1)
+    rows, cols, vals = zip(
+        ([0, 0, 0, 0], [0, n, 2 * n, 3 * n], [q * q, p * q, p * q, p * p]),
+        ([1, n + 1, 2 * n + 1], [0, 0, 0], [1.0, 1.0, 1.0]),  # row 1 reopens
+        (i, i - 1, qs),  # (i,0) -> (i-1,0)
+        (i, 2 * n + i - 1, ps),  # (i,0) -> (i-1,i-1)
+        (n + i, n + i - 1, qs),  # (0,i) -> (0,i-1)
+        (n + i, 2 * n + i - 1, ps),  # (0,i) -> (i-1,i-1)
+        (2 * n + i, 2 * n + i - 1, ones),  # (i,i) -> (i-1,i-1)
+    )
+    return Chain(n=n, p=p, kind="full", matrix=_csr(rows, cols, vals, 3 * n + 1))
 
 
 def collapsed_chain(n: int, p: float) -> Chain:
     """Build the ``n + 1``-state chain over the time until both sides are open."""
     _check_n(n)
     _check_p(p)
-    leave = 2.0 * p - p * p
-    rows, cols, vals = [], [], []
-    if leave > 0.0:
-        rows.append(0)
-        cols.append(n)
-        vals.append(leave)
-    if leave < 1.0:
-        rows.append(0)
-        cols.append(0)
-        vals.append((1.0 - p) ** 2)
-    for i in range(1, n + 1):
-        rows.append(i)
-        cols.append(i - 1)
-        vals.append(1.0)
-    labels = tuple(f"[{i}]" for i in range(n + 1))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-    return Chain(n=n, p=p, kind="collapsed", labels=labels, matrix=matrix)
-
-
-def _degenerate_stationary(chain: Chain) -> np.ndarray:
-    """Stationary vectors at p = 0 (absorbing open state) and p = 1 (pure cycle)."""
-    pi = np.zeros(chain.num_states)
-    if chain.p == 0.0:
-        pi[0] = 1.0
-        return pi
-    # p = 1: the chain walks (0,0) -> (n,n) -> ... -> (1,1) -> (0,0);
-    # the stationary vector is uniform on that cycle even though the chain
-    # is periodic rather than mixing.
-    weight = 1.0 / (chain.n + 1)
-    if chain.kind == "collapsed":
-        pi[:] = weight
-        return pi
-    pi[0] = weight
-    for i in range(1, chain.n + 1):
-        pi[2 * chain.n + i] = weight
-    return pi
+    i = np.arange(1, n + 1)
+    rows, cols, vals = zip(
+        ([0, 0], [0, n], [(1.0 - p) ** 2, 2.0 * p - p * p]),
+        (i, i - 1, np.ones(n)),  # [i] -> [i-1]
+    )
+    return Chain(n=n, p=p, kind="collapsed", matrix=_csr(rows, cols, vals, n + 1))
 
 
 def stationary(chain: Chain, residual_tol: float = 1e-12) -> np.ndarray:
-    """Stationary distribution by direct linear solve of ``pi T = pi``.
+    """Stationary distribution by the ring recurrence, checked on ``pi T = pi``.
 
-    The singular balance system is closed with the normalisation row.  The
-    degenerate ends ``p in {0, 1}`` (reducible or periodic chain) return
-    their known stationary vectors directly.
+    With ``pi(0,0) = 1`` and ``q = 1 - p``, the states that wait on one side
+    hold ``pi(i,0) = pi(0,i) = p q**(n-i+1)``; the diagonal starts at
+    ``pi(n,n) = p**2`` and gains ``2p pi(i+1,0)`` per row on its way down.
+    In the collapsed chain every waiting state holds ``2p - p**2``.  Only
+    sums of non-negative terms occur, so ``p in {0, 1}`` (absorbing or
+    periodic chain) come out exactly.  The vector is normalised last.
     """
-    if chain.p == 0.0 or chain.p == 1.0:
-        return _degenerate_stationary(chain)
-    size = chain.num_states
-    transpose = chain.matrix.transpose()
-    if size <= _DENSE_LIMIT:
-        a = transpose.toarray() - np.eye(size)
-        a[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
+    n, p = chain.n, chain.p
+    if chain.kind == "collapsed":
+        pi = np.full(n + 1, 2.0 * p - p * p)
+        pi[0] = 1.0
     else:
-        a = (transpose - sp.identity(size, format="csr")).tolil()
-        a[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        pi = spsolve(a.tocsc(), b)
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    if np.any(pi < 0):
-        raise ArithmeticError("stationary solve produced negative probabilities")
-    pi = pi / pi.sum()
+        side = p * (1.0 - p) ** np.arange(n, 0, -1)
+        both = np.cumsum(np.concatenate(([p * p], 2.0 * p * side[:0:-1])))[::-1]
+        pi = np.concatenate(([1.0], side, side, both))
+    pi /= pi.sum()
     residual = np.max(np.abs(pi @ chain.matrix - pi))
     if residual > residual_tol:
         raise ArithmeticError(f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
     return pi
-
-
-def stationary_power(chain: Chain, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
-    """Power-iteration fallback on the half-lazy chain ``(I + T) / 2``.
-
-    The lazy mixture shares the stationary vector of ``T`` but is aperiodic
-    for every ``p``, so the iteration converges even near the periodic end.
-    """
-    if chain.p == 0.0 or chain.p == 1.0:
-        return _degenerate_stationary(chain)
-    pi = np.full(chain.num_states, 1.0 / chain.num_states)
-    matrix = chain.matrix
-    for _ in range(max_iter):
-        nxt = 0.5 * (pi + pi @ matrix)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt @ matrix - nxt)) <= tol:
-            return nxt
-        pi = nxt
-    raise ArithmeticError(f"power iteration did not reach residual {tol:.1e}")
 
 
 def stationary_open_prob(n: int, p: float) -> float:

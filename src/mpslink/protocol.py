@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -274,10 +275,10 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.total_cycles < 1:
-            raise ValueError(f"total_cycles must be >= 1, got {self.total_cycles!r}")
+        for name in ("n", "total_cycles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.tau_c_ns <= 0:
             raise ValueError(f"tau_c_ns must be positive, got {self.tau_c_ns!r}")
         if self.trace_limit < 0:

@@ -177,6 +177,13 @@ class TestSubcommands:
         assert payload["pi00_closed_form"] == pytest.approx(0.4, abs=1e-15)
         assert payload["abs_difference"] <= 1e-12
 
+    def test_markov_at_a_million_cycle_timeout(self, capsys):
+        """n = 10^6 (long link, fast clock): 3,000,001 states solved in-process."""
+        assert main(["markov", "--n", "1000000", "--p", "0.01"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 1_000_000
+        assert payload["abs_difference"] <= 1e-12
+
     def test_simulate_is_byte_deterministic(self, capsys):
         argv = ["simulate", "--seed", "1", "--cycles", "50000", "--length-km", "10"]
         assert main(argv) == 0

@@ -1,6 +1,5 @@
 """Chain construction, stationary solves and the collapse identity."""
 
-import json
 import math
 import random
 
@@ -17,10 +16,63 @@ from mpslink import (
     stationary_as_dict,
     stationary_closed_prob,
     stationary_open_prob,
-    stationary_power,
 )
 
 P_GRID = (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)
+
+
+def stationary_power(chain, tol=1e-13, max_iter=1_000_000):
+    """Independent oracle: power iteration on the half-lazy chain ``(I + T) / 2``.
+
+    The lazy mixture shares the stationary vector of ``T`` but is aperiodic
+    for every ``0 < p < 1``, so the iteration converges even near the
+    periodic end.
+    """
+    pi = np.full(chain.num_states, 1.0 / chain.num_states)
+    matrix = chain.matrix
+    for _ in range(max_iter):
+        nxt = 0.5 * (pi + pi @ matrix)
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt @ matrix - nxt)) <= tol:
+            return nxt
+        pi = nxt
+    raise ArithmeticError(f"power iteration did not reach residual {tol:.1e}")
+
+
+def transition_rule_matrices(n, p):
+    """Dense full and collapsed matrices, built one state at a time from the
+    rule in the ``full_chain`` docstring."""
+    q = 1.0 - p
+
+    def idx(i, j):
+        if i == 0 and j == 0:
+            return 0
+        if j == 0:
+            return i
+        if i == 0:
+            return n + j
+        return 2 * n + i
+
+    full = np.zeros((3 * n + 1, 3 * n + 1))
+    full[0, idx(0, 0)] = q * q
+    full[0, idx(n, 0)] = p * q
+    full[0, idx(0, n)] = p * q
+    full[0, idx(n, n)] = p * p
+    for state in ((1, 0), (0, 1), (1, 1)):
+        full[idx(*state), 0] = 1.0
+    for i in range(2, n + 1):
+        full[idx(i, 0), idx(i - 1, 0)] = q
+        full[idx(0, i), idx(0, i - 1)] = q
+        full[idx(i, 0), idx(i - 1, i - 1)] = p
+        full[idx(0, i), idx(i - 1, i - 1)] = p
+        full[idx(i, i), idx(i - 1, i - 1)] = 1.0
+
+    small = np.zeros((n + 1, n + 1))
+    small[0, 0] = q * q
+    small[0, n] = 2.0 * p - p * p
+    for i in range(1, n + 1):
+        small[i, i - 1] = 1.0
+    return full, small
 
 
 class TestChainConstruction:
@@ -34,6 +86,25 @@ class TestChainConstruction:
         row = chain.matrix.toarray()[0]
         by_label = dict(zip(chain.labels, row))
         assert by_label == {"(0,0)": 0.25, "(1,0)": 0.25, "(0,1)": 0.25, "(1,1)": 0.25}
+
+    def test_n2_quarter_matrix_pinned(self):
+        """Every entry of the n=2, p=1/4 chain, written out from the rule in
+        the ``full_chain`` docstring (q = 3/4)."""
+        chain = full_chain(2, 0.25)
+        assert chain.labels == ("(0,0)", "(1,0)", "(2,0)", "(0,1)", "(0,2)", "(1,1)", "(2,2)")
+        expected = np.array([
+            # (0,0)  (1,0)  (2,0)   (0,1)  (0,2)   (1,1)  (2,2)
+            [0.5625, 0.0, 0.1875, 0.0, 0.1875, 0.0, 0.0625],  # (0,0): q², pq, pq, p²
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # (1,0): reopen, herald discarded
+            [0.0, 0.75, 0.0, 0.0, 0.0, 0.25, 0.0],  # (2,0): wait q, joined p
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # (0,1)
+            [0.0, 0.0, 0.0, 0.75, 0.0, 0.25, 0.0],  # (0,2)
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # (1,1)
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],  # (2,2)
+        ])
+        assert np.array_equal(chain.matrix.toarray(), expected)
+        assert chain.matrix.nnz == np.count_nonzero(expected)
+        assert chain.index_of("(2,2)") == 6
 
     def test_rows_stochastic(self):
         for n in (1, 3, 10, 40):
@@ -52,6 +123,20 @@ class TestChainConstruction:
             full_chain(0, 0.5)
         with pytest.raises(ValueError):
             full_chain(3, 1.5)
+        # the rule SimConfig applies to n as well: an int, and not a bool
+        for bad_n in (True, 2.0, 2.5):
+            for build in (full_chain, collapsed_chain):
+                with pytest.raises(ValueError, match="n must be an integer"):
+                    build(bad_n, 0.5)
+
+    def test_builders_match_transition_rule_loop(self):
+        """The vectorised builders equal the rule applied one state at a time."""
+        for n in (1, 2, 3, 7, 20):
+            for p in (0.0, *P_GRID, 1.0):
+                full, small = transition_rule_matrices(n, p)
+                for chain, expected in ((full_chain(n, p), full), (collapsed_chain(n, p), small)):
+                    assert np.array_equal(chain.matrix.toarray(), expected)
+                    assert chain.matrix.nnz == np.count_nonzero(expected)
 
     def test_transition_level_collapse(self):
         """Summing full-chain rows over each waiting class reproduces the
@@ -99,6 +184,20 @@ class TestStationary:
                 pi = stationary(chain)
                 residual = np.max(np.abs(pi @ chain.matrix - pi))
                 assert residual <= 1e-12
+
+    def test_sizes_where_dense_lu_failed(self):
+        # A dense LU solve of this chain returned negative probabilities here.
+        for n in (1000, 1333):
+            pi = stationary(full_chain(n, 0.3))
+            assert pi.min() >= 0.0
+            assert abs(pi[0] - stationary_open_prob(n, 0.3)) <= 1e-12
+
+    def test_large_n_residual(self):
+        for p in (0.01, 0.3):
+            chain = full_chain(100_000, p)
+            pi = stationary(chain)
+            assert np.max(np.abs(pi @ chain.matrix - pi)) <= 1e-12
+            assert abs(pi[0] - stationary_open_prob(100_000, p)) <= 1e-12
 
     def test_power_iteration_agrees(self):
         for n in (1, 5, 20):
@@ -156,7 +255,7 @@ class TestCollapse:
 
     def test_direct_collapsed_chain_has_same_stationary(self):
         for n in (1, 6, 25):
-            for p in P_GRID:
+            for p in (0.0, *P_GRID, 1.0):
                 via_full = collapse(stationary(full_chain(n, p)), n)
                 direct = stationary(collapsed_chain(n, p))
                 assert np.max(np.abs(via_full - direct)) <= 1e-10
@@ -223,13 +322,6 @@ class TestRandomWalkFlux:
 
 
 class TestJsonExport:
-    def test_chain_round_trips(self):
-        chain = full_chain(2, 0.25)
-        payload = json.loads(chain.to_json())
-        assert payload["n"] == 2
-        assert payload["states"] == list(chain.labels)
-        assert payload["transitions"]["(0,0)"]["(2,2)"] == 0.0625
-
     def test_stationary_labels(self):
         chain = full_chain(2, 0.5)
         mapping = stationary_as_dict(chain, stationary(chain))

@@ -322,6 +322,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(beta_qd=1.5, beta_ms=0.5, n=10, total_cycles=1000)
 
+    def test_rejects_non_integer_counts(self):
+        """``n`` and ``total_cycles`` follow the rule of ``markov``'s ``n``: an
+        int, not a bool.  A float ``n`` used to give a float warm-up, and a
+        float ``total_cycles`` a fractional ``measured_cycles``."""
+        cases = (
+            ("n", dict(n=2.5, total_cycles=1000)),
+            ("n", dict(n=500.0, total_cycles=10_000)),
+            ("n", dict(n=True, total_cycles=1000)),
+            ("total_cycles", dict(n=1, total_cycles=1000.5)),
+        )
+        for key, counts in cases:
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                SimConfig(beta_qd=0.5, beta_ms=0.5, **counts)
+
     def test_warns_on_short_run(self):
         with pytest.warns(UserWarning):
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500)
