@@ -414,6 +414,9 @@ class _HeraldStream:
     independent.  Keying by the opening cycle (rather than a call counter)
     lets runs in different modes re-synchronise on the same seed.  Sides
     are the engine indices 0 (left) and 1 (right).
+
+    Callers keep a pointer contract: a side's ``open_from`` never
+    decreases, and ``is_true`` asks only about that side's last herald.
     """
 
     def __init__(self, seed: int, model: HeraldModel):
@@ -421,18 +424,32 @@ class _HeraldStream:
         self._q = model.p_any
         self._true_fraction = model.true_fraction
         self._log_fail = math.log1p(-self._q) if 0.0 < self._q < 1.0 else None
+        self._open_from = [0, 0]
+        self._last: list[int | None] = [None, None]
 
     def next_herald(self, side: int, open_from: int) -> int:
+        if open_from < self._open_from[side]:
+            raise InvariantError(
+                f"side {side} reopened at {open_from}, before its previous {self._open_from[side]}"
+            )
+        self._open_from[side] = open_from
         if self._q <= 0.0:
-            return _NEVER
-        if self._q >= 1.0:
-            return open_from
-        u = u01(self._seed, _SIDE_KEYS[side], open_from, "gap")
-        gap = math.ceil(math.log1p(-u) / self._log_fail)
-        return open_from + max(1, gap) - 1
+            herald = _NEVER
+        elif self._q >= 1.0:
+            herald = open_from
+        else:
+            u = u01(self._seed, _SIDE_KEYS[side], open_from, "gap")
+            gap = math.ceil(math.log1p(-u) / self._log_fail)
+            herald = open_from + max(1, gap) - 1
+        self._last[side] = herald
+        return herald
 
     def is_true(self, side: int, cycle: int) -> bool:
         """Whether the herald of ``side`` at ``cycle`` is genuine."""
+        if cycle != self._last[side]:
+            raise InvariantError(
+                f"side {side} asked for the kind at {cycle}, not its last herald {self._last[side]}"
+            )
         if self._true_fraction >= 1.0:
             return True
         return u01(self._seed, _SIDE_KEYS[side], cycle, "kind") < self._true_fraction

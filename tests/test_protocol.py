@@ -317,6 +317,51 @@ class TestLiteralEngineMatchesReceiverStep:
             assert des_run(config) == _reference_literal(config), config
 
 
+class TestHeraldStream:
+    MODEL = herald_model(0.5, 0.5, 0.01, BsmVariant.SINGLET_ONLY)
+
+    def test_reopening_earlier_is_a_bug(self):
+        stream = _HeraldStream(3, self.MODEL)
+        stream.next_herald(0, 40)
+        stream.next_herald(1, 10)  # each side keeps its own pointer
+        stream.next_herald(0, 40)
+        with pytest.raises(InvariantError, match="side 0 reopened at 39, before its previous 40"):
+            stream.next_herald(0, 39)
+
+    def test_kind_of_a_cycle_other_than_the_last_herald_is_a_bug(self):
+        stream = _HeraldStream(3, self.MODEL)
+        with pytest.raises(InvariantError, match="not its last herald None"):
+            stream.is_true(0, 0)
+        herald = stream.next_herald(0, 0)
+        stream.is_true(0, herald)
+        with pytest.raises(InvariantError, match="not its last herald"):
+            stream.is_true(0, herald + 1)
+        with pytest.raises(InvariantError, match="not its last herald None"):
+            stream.is_true(1, herald)
+
+    def test_pointer_contract_survives_optimized_mode(self):
+        code = (
+            "from mpslink import InvariantError, herald_model, BsmVariant\n"
+            "from mpslink.protocol import _HeraldStream\n"
+            "print('debug:', __debug__)\n"
+            "stream = _HeraldStream(3, herald_model(0.5, 0.5, 0.0, BsmVariant.SINGLET_ONLY))\n"
+            "stream.next_herald(1, 40)\n"
+            "try:\n"
+            "    stream.next_herald(1, 39)\n"
+            "except InvariantError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines() == [
+            "debug: False",
+            "raised: side 1 reopened at 39, before its previous 40",
+        ]
+
+
 class TestSimConfig:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
