@@ -199,6 +199,8 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
             raise ConfigError(f"{lines.get(key, key)}: {exc}") from None
     if config.cycles < 1:
         raise ConfigError(f"{lines.get('cycles', 'cycles')}: cycles must be >= 1")
+    if config.seed < 0:
+        raise ConfigError(f"{lines.get('seed', 'seed')}: seed must be >= 0")
     return config
 
 

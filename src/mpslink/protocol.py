@@ -16,11 +16,13 @@ Two information models are implemented:
   chain of :mod:`mpslink.markov` exactly.
 
 Both engines are event-driven: while nothing can happen, whole stretches
-of idle cycles are skipped by sampling the next herald time from a
-geometric law, which is distribution-exact because attempts are
-independent per cycle.  All randomness is keyed by (seed, side, cycle,
-purpose) through :mod:`mpslink.rng`, so runs are reproducible and the two
-modes can be compared on paired seeds.
+of idle cycles are skipped.  Attempts are independent per cycle, so the
+cycles where a side's attempt would succeed form a Bernoulli process
+whatever the receivers do, and a receiver heralds at the first success at
+or after it reopens.  Each side's successes and their true/false marks are
+drawn ahead from Philox streams keyed by (seed, side, purpose).  Equal
+configs give bit-identical runs, and on one seed the two modes see the
+same attempt outcomes, so they can be compared on paired seeds.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -38,6 +40,7 @@ import json
 import math
 import numbers
 import warnings
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +58,8 @@ from .optics import (
     mps_side_loss,
 )
 from .rates import TimingParams
-from .rng import u01
+# Unused here; benchmarks/tracing.py patches protocol.u01 by name, so it must exist.
+from .rng import u01  # noqa: F401
 
 _NEVER = 2**62  # herald time used when the per-cycle herald probability is zero
 
@@ -279,6 +283,9 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if self.tau_c_ns <= 0:
             raise ValueError(f"tau_c_ns must be positive, got {self.tau_c_ns!r}")
         if self.trace_limit < 0:
@@ -401,48 +408,85 @@ def write_trace_csv(stats: SimStats, destination) -> None:
             handle.write(text)
 
 
-# Side indices of the engines; the strings key the rng draws and the trace.
+# Side indices of the engines; the strings name the sides in the trace.
 _SIDE_KEYS = tuple(side.value for side in Side)
+
+# SeedSequence purposes of a side's two streams.
+_GAP, _MARK = 0, 1
 
 
 class _HeraldStream:
-    """Deterministic herald times and kinds, keyed by (side, cycle).
+    """Per-side herald process: the cycles where a side's attempt succeeds.
 
-    ``next_herald`` draws the first success at or after ``open_from`` for a
-    receiver that attempts every cycle with probability ``p_any``; skipping
-    the failed cycles via the geometric law is exact because attempts are
-    independent.  Keying by the opening cycle (rather than a call counter)
-    lets runs in different modes re-synchronise on the same seed.  Sides
-    are the engine indices 0 (left) and 1 (right).
+    Attempts are independent per cycle, so the cycles where a side's
+    attempt would succeed form a Bernoulli(``p_any``) process whatever the
+    receiver does.  A side's reopening cycle is a stopping time, so a
+    receiver that reopens at ``open_from`` heralds exactly at the first
+    success at or after it.  Each success carries a true/false mark with
+    probability ``true_fraction``.  Both engines read the same process on
+    one seed, so the two modes see the same attempt outcomes.
+
+    Successes are drawn ahead in blocks of ``_BLOCK``.  Each side has two
+    Philox streams (Salmon et al., SC'11) keyed by ``(seed, side,
+    purpose)``.  Each success takes one uniform from each: a geometric gap
+    by inversion, and the mark.  The success sequence therefore does not
+    depend on the block size.  Cycles are exact below 2**53 and saturate
+    at ``_NEVER``.  Sides are the engine indices 0 (left) and 1 (right).
 
     Callers keep a pointer contract: a side's ``open_from`` never
     decreases, and ``is_true`` asks only about that side's last herald.
     """
 
+    _BLOCK = 2**11
+
     def __init__(self, seed: int, model: HeraldModel):
-        self._seed = seed
-        self._q = model.p_any
+        p = model.p_any
         self._true_fraction = model.true_fraction
-        self._log_fail = math.log1p(-self._q) if 0.0 < self._q < 1.0 else None
+        self._log_fail = math.log1p(-p) if p < 1.0 else None
+        self._streams = [
+            [
+                np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, side, purpose])))
+                for purpose in (_GAP, _MARK)
+            ]
+            for side in (0, 1)
+        ]
+        # With p = 0 the process has no success before _NEVER, and no draw is made.
+        self._times: list[list[int]] = [[_NEVER], [_NEVER]] if p <= 0.0 else [[], []]
+        self._marks: list[list[bool]] = [[False], [False]] if p <= 0.0 else [[], []]
+        self._ptr = [0, 0]
+        self._drawn_to = [-1, -1]  # last success cycle drawn on each side
         self._open_from = [0, 0]
         self._last: list[int | None] = [None, None]
 
+    def _draw_block(self, side: int) -> list[int]:
+        gap_stream, mark_stream = self._streams[side]
+        if self._log_fail is None:
+            gaps = np.ones(self._BLOCK)  # p = 1: every cycle succeeds
+        else:
+            gaps = np.ceil(np.log1p(-gap_stream.random(self._BLOCK)) / self._log_fail)
+            np.clip(gaps, 1.0, _NEVER, out=gaps)
+        cycles = np.minimum(np.cumsum(gaps) + self._drawn_to[side], _NEVER)
+        times = cycles.astype(np.int64).tolist()
+        self._times[side] = times
+        self._marks[side] = (mark_stream.random(self._BLOCK) < self._true_fraction).tolist()
+        self._drawn_to[side] = times[-1]
+        return times
+
     def next_herald(self, side: int, open_from: int) -> int:
+        """First success cycle of ``side`` at or after ``open_from``."""
         if open_from < self._open_from[side]:
             raise InvariantError(
                 f"side {side} reopened at {open_from}, before its previous {self._open_from[side]}"
             )
         self._open_from[side] = open_from
-        if self._q <= 0.0:
-            herald = _NEVER
-        elif self._q >= 1.0:
-            herald = open_from
-        else:
-            u = u01(self._seed, _SIDE_KEYS[side], open_from, "gap")
-            gap = math.ceil(math.log1p(-u) / self._log_fail)
-            herald = open_from + max(1, gap) - 1
-        self._last[side] = herald
-        return herald
+        times = self._times[side]
+        i = bisect_left(times, open_from, self._ptr[side])
+        while i == len(times):
+            times = self._draw_block(side)
+            i = bisect_left(times, open_from)
+        self._ptr[side] = i
+        self._last[side] = times[i]
+        return times[i]
 
     def is_true(self, side: int, cycle: int) -> bool:
         """Whether the herald of ``side`` at ``cycle`` is genuine."""
@@ -450,9 +494,7 @@ class _HeraldStream:
             raise InvariantError(
                 f"side {side} asked for the kind at {cycle}, not its last herald {self._last[side]}"
             )
-        if self._true_fraction >= 1.0:
-            return True
-        return u01(self._seed, _SIDE_KEYS[side], cycle, "kind") < self._true_fraction
+        return self._marks[side][self._ptr[side]]
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:

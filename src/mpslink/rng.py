@@ -1,10 +1,12 @@
-"""Deterministic, platform-independent random substreams.
+"""Deterministic, platform-independent keyed random values.
 
-Every draw is keyed by the root seed plus a tuple of integers/strings
-naming the consumer (side, cycle, purpose).  Identical keys therefore
-yield identical values in any run, on any platform, and independent of
-how many other draws happened before, which is what lets two simulation
-modes be compared on paired seeds.
+Every value is a SHA-256 function of the root seed plus a tuple of
+integers/strings naming the consumer.  Identical keys therefore yield
+identical values in any run, on any platform, and independent of how many
+other draws happened before.  :func:`derive_seed` gives each point of a
+``cli`` sweep its own simulation seed.  The simulation itself draws its
+herald process from numpy's Philox generator (``protocol._HeraldStream``);
+no package code calls :func:`u01`.
 """
 
 from __future__ import annotations

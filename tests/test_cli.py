@@ -73,6 +73,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config("sweep=10:5:1")
 
+    def test_negative_seed_names_key(self):
+        # The simulation's herald process takes non-negative seeds only.
+        with pytest.raises(ConfigError, match=r"line 2 \(seed\): seed must be >= 0"):
+            parse_config("cycles=10\nseed=-1")
+        with pytest.raises(ConfigError, match=r"flag --seed.*seed must be >= 0"):
+            parse_config("", {"seed": "-1"})
+        assert parse_config("seed=0").seed == 0
+
     def test_oversized_sweep_fails_fast(self):
         # 9e10 points: rejected from its bounds before any list is built.
         with pytest.raises(ConfigError, match=r"line 1 \(sweep\).*more than 100000 points"):

@@ -36,7 +36,7 @@ from mpslink import (
     stationary_open_prob,
     write_trace_csv,
 )
-from mpslink.protocol import _NEVER, _HeraldStream, _open_cycles, _sim_stats
+from mpslink.protocol import _NEVER, HeraldModel, _HeraldStream, _open_cycles, _sim_stats
 
 
 def _enumerated_side_probs(beta_qd, beta_ms, p_dc, variant):
@@ -361,6 +361,50 @@ class TestHeraldStream:
             "raised: side 1 reopened at 39, before its previous 40",
         ]
 
+    BLOCK_CASES = {
+        # About 15k successes per side: seven default blocks.
+        "many_blocks": dict(
+            beta_qd=0.5, beta_ms=0.6, n=20, total_cycles=50_000, seed=21, p_dc=0.02,
+            trace_limit=40,
+        ),
+        "p001_n500": dict(beta_qd=1.0, beta_ms=0.01, n=500, total_cycles=300_000, seed=4),
+        "n1": dict(beta_qd=0.6, beta_ms=0.5, n=1, total_cycles=20_000, seed=9, p_dc=0.01),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_size_does_not_change_the_run(self, case, monkeypatch):
+        configs = [SimConfig(mode=mode, **self.BLOCK_CASES[case]) for mode in SimMode]
+        expected = [des_run(config) for config in configs]
+        for block in (1, 7):
+            monkeypatch.setattr(_HeraldStream, "_BLOCK", block)
+            assert [des_run(config) for config in configs] == expected, block
+
+    @pytest.mark.parametrize("p_true, p_false", [(0.008, 0.002), (0.2, 0.1)])
+    def test_gaps_and_marks_follow_the_bernoulli_law(self, p_true, p_false):
+        model = HeraldModel(p_true=p_true, p_false=p_false)
+        p, fraction, count = model.p_any, model.true_fraction, 100_000
+        stream = _HeraldStream(5, model)
+        herald, gaps, trues = -1, [], 0
+        for _ in range(count):
+            cycle = stream.next_herald(0, herald + 1)
+            gaps.append(cycle - herald)
+            trues += stream.is_true(0, cycle)
+            herald = cycle
+        assert min(gaps) >= 1
+        gap_se = math.sqrt((1.0 - p) / p**2 / count)
+        assert abs(sum(gaps) / count - 1.0 / p) <= 4.0 * gap_se
+        mark_se = math.sqrt(fraction * (1.0 - fraction) / count)
+        assert abs(trues / count - fraction) <= 4.0 * mark_se
+
+    def test_certain_and_impossible_heralds(self):
+        never = _HeraldStream(3, HeraldModel(p_true=0.0, p_false=0.0))
+        always = _HeraldStream(3, HeraldModel(p_true=1.0, p_false=0.0))
+        for open_from in (0, 1, 17, 5000):
+            for side in (0, 1):
+                assert never.next_herald(side, open_from) == _NEVER
+                assert always.next_herald(side, open_from) == open_from
+                assert always.is_true(side, open_from)
+
 
 class TestSimConfig:
     def test_rejects_bad_probabilities(self):
@@ -380,6 +424,16 @@ class TestSimConfig:
         for key, counts in cases:
             with pytest.raises(ValueError, match=f"^{key} must be an integer"):
                 SimConfig(beta_qd=0.5, beta_ms=0.5, **counts)
+
+    def test_rejects_bad_seed(self):
+        """The herald process seeds numpy's ``SeedSequence``, which takes
+        non-negative ints only; the config names the key instead."""
+        for seed in (-3, True, 2.5, "1"):
+            with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+                SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=1000, seed=seed)
+        # cli derives per-point seeds up to 2**64 - 1.
+        config = SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=1000, seed=2**64 - 1)
+        assert des_run(config).heralds_left > 0
 
     def test_warns_on_short_run(self):
         with pytest.warns(UserWarning):
@@ -549,10 +603,11 @@ class TestMpiReferenceRun:
         )
 
 
-# Full SimStats of both engines on fixed seeds, recorded from the
-# Side-keyed engines that preceded the int-indexed rewrite.  Any change to
-# event order, warm-up accounting, keyed draws or the rate arithmetic shows
-# up here as an inequality.
+# Full SimStats of both engines on fixed seeds.  The degenerate cases
+# (beta_qd_0, beta_qd_1_lossless, no_measured) draw nothing that matters and
+# are as first recorded; the others were recorded on the pre-drawn Philox
+# herald process.  Any change to event order, warm-up accounting, the herald
+# draws or the rate arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
     "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
     "dark_counts": dict(
@@ -582,12 +637,12 @@ GOLDEN_STATS = {
         measured_cycles=999000,
         tau_c_ns=500.0,
         heralds_left=1808,
-        heralds_right=1813,
-        true_coincidences=17,
+        heralds_right=1815,
+        true_coincidences=7,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.0903013013013013,
-        rate_hz=34.03403403403403,
+        open_fraction=0.0901951951951952,
+        rate_hz=14.01401401401401,
         infidelity_estimate=0.0,
     ),
     ("p001_n500", "literal"): SimStats(
@@ -596,13 +651,13 @@ GOLDEN_STATS = {
         warmup_cycles=1000,
         measured_cycles=999000,
         tau_c_ns=500.0,
-        heralds_left=2530,
-        heralds_right=2504,
-        true_coincidences=2,
+        heralds_left=2544,
+        heralds_right=2583,
+        true_coincidences=1,
         false_coincidences=0,
-        one_sided_confirms=7,
-        open_fraction=0.08752352352352352,
-        rate_hz=4.0040040040040035,
+        one_sided_confirms=5,
+        open_fraction=0.08422022022022022,
+        rate_hz=2.0020020020020017,
         infidelity_estimate=0.0,
     ),
     ("dark_counts", "omniscient"): SimStats(
@@ -611,14 +666,14 @@ GOLDEN_STATS = {
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1680,
-        heralds_right=1688,
-        true_coincidences=54,
-        false_coincidences=22,
+        heralds_left=1690,
+        heralds_right=1681,
+        true_coincidences=44,
+        false_coincidences=28,
         one_sided_confirms=0,
-        open_fraction=0.2592273819055244,
-        rate_hz=3042.4339471577255,
-        infidelity_estimate=0.2894736842105263,
+        open_fraction=0.25206164931945557,
+        rate_hz=2882.30584467574,
+        infidelity_estimate=0.3888888888888889,
     ),
     ("dark_counts", "literal"): SimStats(
         mode="literal",
@@ -626,14 +681,14 @@ GOLDEN_STATS = {
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1833,
-        heralds_right=1782,
-        true_coincidences=22,
-        false_coincidences=9,
-        one_sided_confirms=39,
-        open_fraction=0.2727582065652522,
-        rate_hz=1240.992794235388,
-        infidelity_estimate=0.2903225806451613,
+        heralds_left=1824,
+        heralds_right=1831,
+        true_coincidences=20,
+        false_coincidences=15,
+        one_sided_confirms=46,
+        open_fraction=0.2663330664531625,
+        rate_hz=1401.1208967173736,
+        infidelity_estimate=0.42857142857142855,
     ),
     ("trace", "omniscient"): SimStats(
         mode="omniscient",
@@ -641,27 +696,27 @@ GOLDEN_STATS = {
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=302,
-        heralds_right=302,
+        heralds_left=303,
+        heralds_right=307,
         true_coincidences=36,
-        false_coincidences=0,
+        false_coincidences=1,
         one_sided_confirms=0,
-        open_fraction=0.3142570281124498,
-        rate_hz=24096.38554216867,
-        infidelity_estimate=0.0,
+        open_fraction=0.3196117804551539,
+        rate_hz=24765.729585006688,
+        infidelity_estimate=0.02702702702702703,
         trace=(
-            (2, "right", "herald"), (5, "left", "herald"),
-            (8, "right", "timeout"), (10, "left", "herald"),
-            (16, "left", "timeout"), (20, "left", "herald"),
-            (23, "right", "herald"), (26, "left", "timeout"),
-            (32, "left", "herald"), (38, "left", "timeout"),
-            (39, "right", "herald"), (42, "left", "herald"),
-            (45, "right", "timeout"), (46, "right", "herald"),
-            (52, "right", "timeout"), (55, "right", "herald"),
-            (56, "left", "herald"), (61, "right", "timeout"),
-            (63, "left", "herald"), (67, "right", "herald"),
-            (69, "left", "timeout"), (73, "right", "herald"),
-            (76, "left", "herald"), (79, "right", "timeout"),
+            (3, "right", "herald"), (5, "left", "herald"),
+            (9, "right", "timeout"), (13, "left", "herald"),
+            (18, "right", "herald"), (19, "left", "timeout"),
+            (20, "left", "herald"), (26, "left", "timeout"),
+            (29, "left", "herald"), (32, "right", "herald"),
+            (35, "left", "timeout"), (38, "left", "herald"),
+            (40, "right", "herald"), (44, "left", "timeout"),
+            (45, "left", "herald"), (46, "right", "herald"),
+            (51, "left", "timeout"), (53, "right", "herald"),
+            (54, "left", "herald"), (59, "right", "timeout"),
+            (60, "right", "herald"), (63, "left", "herald"),
+            (66, "right", "timeout"), (69, "right", "herald"),
         ),
     ),
     ("trace", "literal"): SimStats(
@@ -670,27 +725,27 @@ GOLDEN_STATS = {
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=306,
-        heralds_right=298,
-        true_coincidences=25,
-        false_coincidences=0,
-        one_sided_confirms=9,
-        open_fraction=0.30823293172690763,
-        rate_hz=16733.601070950466,
-        infidelity_estimate=0.0,
+        heralds_left=315,
+        heralds_right=314,
+        true_coincidences=19,
+        false_coincidences=1,
+        one_sided_confirms=15,
+        open_fraction=0.3169344042838019,
+        rate_hz=13386.880856760372,
+        infidelity_estimate=0.05,
         trace=(
-            (2, "right", "herald"), (5, "left", "herald"),
-            (8, "left", "mismatch_reset"), (8, "right", "timeout"),
-            (10, "left", "herald"), (11, "right", "stale_ignored"),
-            (16, "left", "timeout"), (16, "right", "stale_ignored"),
-            (20, "left", "herald"), (23, "right", "herald"),
-            (26, "left", "timeout"), (26, "right", "mismatch_reset"),
-            (29, "left", "stale_ignored"), (32, "left", "herald"),
-            (38, "left", "timeout"), (38, "right", "stale_ignored"),
-            (39, "right", "herald"), (42, "left", "herald"),
-            (45, "left", "mismatch_reset"), (45, "right", "timeout"),
-            (46, "right", "herald"), (48, "right", "mismatch_reset"),
-            (51, "right", "herald"), (52, "left", "stale_ignored"),
+            (3, "right", "herald"), (5, "left", "herald"),
+            (9, "left", "mismatch_reset"), (9, "right", "timeout"),
+            (11, "right", "stale_ignored"), (13, "left", "herald"),
+            (18, "right", "herald"), (19, "left", "timeout"),
+            (19, "right", "mismatch_reset"), (20, "left", "herald"),
+            (24, "left", "mismatch_reset"), (26, "right", "stale_ignored"),
+            (29, "left", "herald"), (32, "right", "herald"),
+            (35, "left", "timeout"), (35, "right", "mismatch_reset"),
+            (38, "left", "stale_ignored"), (38, "left", "herald"),
+            (40, "right", "herald"), (44, "left", "timeout"),
+            (44, "right", "mismatch_reset"), (45, "left", "herald"),
+            (46, "left", "mismatch_reset"), (46, "right", "herald"),
         ),
     ),
     ("n1", "omniscient"): SimStats(
@@ -699,18 +754,18 @@ GOLDEN_STATS = {
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4866,
-        heralds_right=4886,
-        true_coincidences=1221,
+        heralds_left=4854,
+        heralds_right=4874,
+        true_coincidences=1158,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.6599659965996599,
-        rate_hz=122112.2112211221,
+        open_fraction=0.6594659465946595,
+        rate_hz=115811.5811581158,
         infidelity_estimate=0.0,
         trace=(
-            (1, "left", "herald"), (2, "left", "timeout"),
-            (3, "left", "herald"), (4, "right", "herald"),
-            (4, "left", "timeout"), (10, "left", "herald"),
+            (0, "right", "herald"), (1, "left", "herald"),
+            (1, "right", "timeout"), (2, "left", "herald"),
+            (3, "left", "timeout"), (4, "right", "herald"),
         ),
     ),
     ("n1", "literal"): SimStats(
@@ -719,18 +774,18 @@ GOLDEN_STATS = {
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4686,
-        heralds_right=4603,
-        true_coincidences=1062,
+        heralds_left=4649,
+        heralds_right=4697,
+        true_coincidences=1049,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.5886088608860887,
-        rate_hz=106210.6210621062,
+        open_fraction=0.5851085108510851,
+        rate_hz=104910.4910491049,
         infidelity_estimate=0.0,
         trace=(
-            (1, "left", "herald"), (2, "left", "timeout"),
-            (2, "right", "stale_ignored"), (3, "left", "herald"),
-            (4, "left", "timeout"), (4, "right", "stale_ignored"),
+            (0, "right", "herald"), (1, "left", "stale_ignored"),
+            (1, "left", "herald"), (1, "right", "timeout"),
+            (2, "left", "timeout"), (2, "right", "stale_ignored"),
         ),
     ),
     ("beta_qd_1_lossless", "omniscient"): SimStats(
@@ -779,14 +834,14 @@ GOLDEN_STATS = {
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=1782,
-        heralds_right=1780,
+        heralds_left=1780,
+        heralds_right=1781,
         true_coincidences=308,
-        false_coincidences=60,
+        false_coincidences=61,
         one_sided_confirms=0,
-        open_fraction=0.1084084084084084,
-        rate_hz=24557.891224557887,
-        infidelity_estimate=0.16304347826086957,
+        open_fraction=0.10754087420754087,
+        rate_hz=24624.624624624623,
+        infidelity_estimate=0.16531165311653118,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
         mode="literal",
@@ -794,14 +849,14 @@ GOLDEN_STATS = {
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=2419,
-        heralds_right=2419,
-        true_coincidences=57,
-        false_coincidences=6,
-        one_sided_confirms=233,
-        open_fraction=0.08985652318985653,
-        rate_hz=4204.204204204204,
-        infidelity_estimate=0.09523809523809523,
+        heralds_left=2475,
+        heralds_right=2482,
+        true_coincidences=33,
+        false_coincidences=7,
+        one_sided_confirms=230,
+        open_fraction=0.09095762429095762,
+        rate_hz=2669.336002669336,
+        infidelity_estimate=0.175,
     ),
     ("beta_qd_0", "omniscient"): SimStats(
         mode="omniscient",
@@ -839,13 +894,13 @@ GOLDEN_STATS = {
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2212,
-        heralds_right=2232,
+        heralds_left=2215,
+        heralds_right=2204,
         true_coincidences=0,
-        false_coincidences=159,
+        false_coincidences=131,
         one_sided_confirms=0,
-        open_fraction=0.34029514757378687,
-        rate_hz=7953.976988494245,
+        open_fraction=0.34269634817408706,
+        rate_hz=6553.276638319158,
         infidelity_estimate=1.0,
     ),
     ("beta_qd_0_dark", "literal"): SimStats(
@@ -854,13 +909,13 @@ GOLDEN_STATS = {
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2317,
-        heralds_right=2313,
+        heralds_left=2287,
+        heralds_right=2296,
         true_coincidences=0,
-        false_coincidences=90,
-        one_sided_confirms=49,
-        open_fraction=0.34532266133066536,
-        rate_hz=4502.2511255627805,
+        false_coincidences=100,
+        one_sided_confirms=41,
+        open_fraction=0.3507253626813407,
+        rate_hz=5002.5012506253115,
         infidelity_estimate=1.0,
     ),
     ("short_run", "omniscient"): SimStats(
@@ -874,15 +929,15 @@ GOLDEN_STATS = {
         true_coincidences=0,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.02,
+        open_fraction=0.03333333333333333,
         rate_hz=0.0,
         infidelity_estimate=None,
         trace=(
-            (0, "left", "herald"), (5, "right", "herald"),
-            (100, "left", "timeout"), (105, "right", "herald"),
-            (108, "left", "herald"), (205, "right", "timeout"),
-            (208, "left", "herald"), (213, "right", "herald"),
-            (308, "left", "timeout"),
+            (2, "left", "herald"), (6, "right", "herald"),
+            (102, "left", "timeout"), (104, "left", "herald"),
+            (104, "right", "herald"), (204, "both", "confirm"),
+            (207, "left", "herald"), (208, "right", "herald"),
+            (307, "left", "timeout"),
         ),
     ),
     ("short_run", "literal"): SimStats(
@@ -891,20 +946,20 @@ GOLDEN_STATS = {
         warmup_cycles=200,
         measured_cycles=300,
         tau_c_ns=500.0,
-        heralds_left=4,
-        heralds_right=4,
+        heralds_left=3,
+        heralds_right=3,
         true_coincidences=0,
         false_coincidences=0,
-        one_sided_confirms=0,
-        open_fraction=0.013333333333333334,
+        one_sided_confirms=1,
+        open_fraction=0.03333333333333333,
         rate_hz=0.0,
         infidelity_estimate=None,
         trace=(
-            (0, "left", "herald"), (5, "right", "herald"),
-            (100, "left", "timeout"), (100, "right", "mismatch_reset"),
-            (105, "left", "stale_ignored"), (105, "right", "herald"),
-            (108, "left", "herald"), (205, "left", "mismatch_reset"),
-            (205, "right", "timeout"),
+            (2, "left", "herald"), (6, "right", "herald"),
+            (102, "left", "timeout"), (102, "right", "mismatch_reset"),
+            (104, "left", "herald"), (104, "right", "herald"),
+            (106, "left", "mismatch_reset"), (108, "left", "herald"),
+            (204, "left", "mismatch_reset"),
         ),
     ),
     ("no_measured", "omniscient"): SimStats(
