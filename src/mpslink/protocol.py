@@ -450,11 +450,11 @@ class _HeraldStream:
             ]
             for side in (0, 1)
         ]
-        # With p = 0 the process has no success before _NEVER, and no draw is made.
-        self._times: list[list[int]] = [[_NEVER], [_NEVER]] if p <= 0.0 else [[], []]
-        self._marks: list[list[bool]] = [[False], [False]] if p <= 0.0 else [[], []]
+        # A side's block ends with the last success drawn: cycle -1 before the
+        # first draw.  With p = 0 no success comes before _NEVER, and none is drawn.
+        self._times: list[list[int]] = [[_NEVER], [_NEVER]] if p <= 0.0 else [[-1], [-1]]
+        self._marks: list[list[bool]] = [[False], [False]]
         self._ptr = [0, 0]
-        self._drawn_to = [-1, -1]  # last success cycle drawn on each side
         self._open_from = [0, 0]
         self._last: list[int | None] = [None, None]
 
@@ -465,11 +465,10 @@ class _HeraldStream:
         else:
             gaps = np.ceil(np.log1p(-gap_stream.random(self._BLOCK)) / self._log_fail)
             np.clip(gaps, 1.0, _NEVER, out=gaps)
-        cycles = np.minimum(np.cumsum(gaps) + self._drawn_to[side], _NEVER)
+        cycles = np.minimum(np.cumsum(gaps) + self._times[side][-1], _NEVER)
         times = cycles.astype(np.int64).tolist()
         self._times[side] = times
         self._marks[side] = (mark_stream.random(self._BLOCK) < self._true_fraction).tolist()
-        self._drawn_to[side] = times[-1]
         return times
 
     def next_herald(self, side: int, open_from: int) -> int:
