@@ -16,13 +16,11 @@ Two information models are implemented:
   chain of :mod:`mpslink.markov` exactly.
 
 Both engines are event-driven: while nothing can happen, whole stretches
-of idle cycles are skipped.  Attempts are independent per cycle, so the
-cycles where a side's attempt would succeed form a Bernoulli process
-whatever the receivers do, and a receiver heralds at the first success at
-or after it reopens.  Each side's successes and their true/false marks are
-drawn ahead from Philox streams keyed by (seed, side, purpose).  Equal
-configs give bit-identical runs, and on one seed the two modes see the
-same attempt outcomes, so they can be compared on paired seeds.
+of idle cycles are skipped.  Attempts are independent per cycle, so a
+reopened receiver's wait for its next herald is geometric and is drawn in
+one step.  Each side's waits and true/false marks come from Philox
+streams keyed by (seed, side, purpose), one value of each per herald, and
+equal configs give bit-identical runs.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -40,7 +38,6 @@ import json
 import math
 import numbers
 import warnings
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -416,82 +413,83 @@ _GAP, _MARK = 0, 1
 
 
 class _HeraldStream:
-    """Per-side herald process: the cycles where a side's attempt succeeds.
+    """Per-side herald process: when a reopened receiver heralds, and how.
 
-    Attempts are independent per cycle, so the cycles where a side's
-    attempt would succeed form a Bernoulli(``p_any``) process whatever the
-    receiver does.  A side's reopening cycle is a stopping time, so a
-    receiver that reopens at ``open_from`` heralds exactly at the first
-    success at or after it.  Each success carries a true/false mark with
-    probability ``true_fraction``.  Both engines read the same process on
-    one seed, so the two modes see the same attempt outcomes.
+    A receiver attempts every cycle with probability ``p_any``, and the
+    attempts are independent, so the wait from its reopening cycle
+    ``open_from`` to its first success is geometric: skipping the failed
+    cycles with one inversion draw is exact, and no attempt made while the
+    side was closed is ever drawn.  Each herald carries a true/false mark
+    with probability ``true_fraction``.  Sides are the engine indices 0
+    (left) and 1 (right).
 
-    Successes are drawn ahead in blocks of ``_BLOCK``.  Each side has two
-    Philox streams (Salmon et al., SC'11) keyed by ``(seed, side,
-    purpose)``.  Each success takes one uniform from each: a geometric gap
-    by inversion, and the mark.  The success sequence therefore does not
-    depend on the block size.  Cycles are exact below 2**53 and saturate
-    at ``_NEVER``.  Sides are the engine indices 0 (left) and 1 (right).
+    Each side has two Philox streams (Salmon et al., SC'11) keyed by
+    ``(seed, side, purpose)``: one for gaps and one for marks.  Its k-th
+    herald takes the k-th uniform of each, so a run does not depend on the
+    block size ``_BLOCK`` in which they are drawn ahead.  Uniforms are
+    built from the raw 64-bit Philox words, whose stream numpy keeps fixed
+    across releases (NEP 19), so equal configs give bit-identical runs.
 
-    Callers keep a pointer contract: a side's ``open_from`` never
-    decreases, and ``is_true`` asks only about that side's last herald.
+    Callers keep a pointer contract: a side reopens only after its last
+    herald, and ``is_true`` asks only about that last herald (``-1`` before
+    the first).
     """
 
     _BLOCK = 2**11
 
     def __init__(self, seed: int, model: HeraldModel):
         p = model.p_any
-        self._true_fraction = model.true_fraction
+        self._never = p <= 0.0
         self._log_fail = math.log1p(-p) if p < 1.0 else None
-        self._streams = [
+        self._true_fraction = model.true_fraction
+        self._bits = [
             [
-                np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, side, purpose])))
+                np.random.Philox(np.random.SeedSequence([seed, side, purpose]))
                 for purpose in (_GAP, _MARK)
             ]
             for side in (0, 1)
         ]
-        # A side's block ends with the last success drawn: cycle -1 before the
-        # first draw.  With p = 0 no success comes before _NEVER, and none is drawn.
-        self._times: list[list[int]] = [[_NEVER], [_NEVER]] if p <= 0.0 else [[-1], [-1]]
-        self._marks: list[list[bool]] = [[False], [False]]
-        self._ptr = [0, 0]
-        self._open_from = [0, 0]
-        self._last: list[int | None] = [None, None]
+        self._gaps: list[list[int]] = [[], []]
+        self._marks: list[list[bool]] = [[], []]
+        self._ptr = [-1, -1]
+        self._last = [-1, -1]
 
-    def _draw_block(self, side: int) -> list[int]:
-        gap_stream, mark_stream = self._streams[side]
+    def _uniforms(self, bits: np.random.Philox) -> np.ndarray:
+        return (bits.random_raw(self._BLOCK) >> 11) * 2.0**-53
+
+    def _draw_block(self, side: int) -> None:
+        gap_bits, mark_bits = self._bits[side]
         if self._log_fail is None:
-            gaps = np.ones(self._BLOCK)  # p = 1: every cycle succeeds
+            self._gaps[side] = [1] * self._BLOCK  # p = 1: every cycle succeeds
         else:
-            gaps = np.ceil(np.log1p(-gap_stream.random(self._BLOCK)) / self._log_fail)
-            np.clip(gaps, 1.0, _NEVER, out=gaps)
-        cycles = np.minimum(np.cumsum(gaps) + self._times[side][-1], _NEVER)
-        times = cycles.astype(np.int64).tolist()
-        self._times[side] = times
-        self._marks[side] = (mark_stream.random(self._BLOCK) < self._true_fraction).tolist()
-        return times
+            gaps = np.ceil(np.log1p(-self._uniforms(gap_bits)) / self._log_fail)
+            self._gaps[side] = np.clip(gaps, 1.0, _NEVER).astype(np.int64).tolist()
+        self._marks[side] = (self._uniforms(mark_bits) < self._true_fraction).tolist()
 
     def next_herald(self, side: int, open_from: int) -> int:
         """First success cycle of ``side`` at or after ``open_from``."""
-        if open_from < self._open_from[side]:
+        last = self._last[side]
+        if open_from <= last:
             raise InvariantError(
-                f"side {side} reopened at {open_from}, before its previous {self._open_from[side]}"
+                f"side {side} reopened at {open_from}, not after its last herald {last}"
             )
-        self._open_from[side] = open_from
-        times = self._times[side]
-        i = bisect_left(times, open_from, self._ptr[side])
-        while i == len(times):
-            times = self._draw_block(side)
-            i = bisect_left(times, open_from)
-        self._ptr[side] = i
-        self._last[side] = times[i]
-        return times[i]
+        if self._never:
+            return _NEVER
+        ptr = self._ptr[side] + 1
+        if ptr == len(self._gaps[side]):
+            self._draw_block(side)
+            ptr = 0
+        self._ptr[side] = ptr
+        herald = open_from + self._gaps[side][ptr] - 1
+        self._last[side] = herald
+        return herald
 
     def is_true(self, side: int, cycle: int) -> bool:
         """Whether the herald of ``side`` at ``cycle`` is genuine."""
-        if cycle != self._last[side]:
+        last = self._last[side]
+        if cycle != last or last < 0:
             raise InvariantError(
-                f"side {side} asked for the kind at {cycle}, not its last herald {self._last[side]}"
+                f"side {side} asked for the kind at {cycle}, not its last herald {last}"
             )
         return self._marks[side][self._ptr[side]]
 

@@ -320,34 +320,39 @@ class TestLiteralEngineMatchesReceiverStep:
 class TestHeraldStream:
     MODEL = herald_model(0.5, 0.5, 0.01, BsmVariant.SINGLET_ONLY)
 
-    def test_reopening_earlier_is_a_bug(self):
+    def test_reopening_at_or_before_the_last_herald_is_a_bug(self):
         stream = _HeraldStream(3, self.MODEL)
-        stream.next_herald(0, 40)
+        herald = stream.next_herald(0, 40)
         stream.next_herald(1, 10)  # each side keeps its own pointer
-        stream.next_herald(0, 40)
-        with pytest.raises(InvariantError, match="side 0 reopened at 39, before its previous 40"):
+        herald = stream.next_herald(0, herald + 1)
+        with pytest.raises(
+            InvariantError, match=f"side 0 reopened at {herald}, not after its last herald {herald}$"
+        ):
+            stream.next_herald(0, herald)
+        with pytest.raises(InvariantError, match="not after its last herald"):
             stream.next_herald(0, 39)
 
     def test_kind_of_a_cycle_other_than_the_last_herald_is_a_bug(self):
         stream = _HeraldStream(3, self.MODEL)
-        with pytest.raises(InvariantError, match="not its last herald None"):
-            stream.is_true(0, 0)
+        for cycle in (0, -1):
+            with pytest.raises(InvariantError, match="not its last herald -1$"):
+                stream.is_true(0, cycle)
         herald = stream.next_herald(0, 0)
         stream.is_true(0, herald)
         with pytest.raises(InvariantError, match="not its last herald"):
             stream.is_true(0, herald + 1)
-        with pytest.raises(InvariantError, match="not its last herald None"):
+        with pytest.raises(InvariantError, match="not its last herald -1$"):
             stream.is_true(1, herald)
 
     def test_pointer_contract_survives_optimized_mode(self):
         code = (
-            "from mpslink import InvariantError, herald_model, BsmVariant\n"
+            "from mpslink import InvariantError, HeraldModel\n"
             "from mpslink.protocol import _HeraldStream\n"
             "print('debug:', __debug__)\n"
-            "stream = _HeraldStream(3, herald_model(0.5, 0.5, 0.0, BsmVariant.SINGLET_ONLY))\n"
+            "stream = _HeraldStream(3, HeraldModel(p_true=1.0, p_false=0.0))\n"
             "stream.next_herald(1, 40)\n"
             "try:\n"
-            "    stream.next_herald(1, 39)\n"
+            "    stream.next_herald(1, 40)\n"
             "except InvariantError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -358,13 +363,13 @@ class TestHeraldStream:
         )
         assert done.stdout.splitlines() == [
             "debug: False",
-            "raised: side 1 reopened at 39, before its previous 40",
+            "raised: side 1 reopened at 40, not after its last herald 40",
         ]
 
     BLOCK_CASES = {
-        # About 15k successes per side: seven default blocks.
+        # About 10k heralds per side: five default blocks.
         "many_blocks": dict(
-            beta_qd=0.5, beta_ms=0.6, n=20, total_cycles=50_000, seed=21, p_dc=0.02,
+            beta_qd=0.9, beta_ms=0.9, n=5, total_cycles=60_000, seed=21, p_dc=0.02,
             trace_limit=40,
         ),
         "p001_n500": dict(beta_qd=1.0, beta_ms=0.01, n=500, total_cycles=300_000, seed=4),
@@ -605,8 +610,8 @@ class TestMpiReferenceRun:
 
 # Full SimStats of both engines on fixed seeds.  The degenerate cases
 # (beta_qd_0, beta_qd_1_lossless, no_measured) draw nothing that matters and
-# are as first recorded; the others were recorded on the pre-drawn Philox
-# herald process.  Any change to event order, warm-up accounting, the herald
+# are as first recorded; the others were recorded on the per-herald Philox
+# draws.  Any change to event order, warm-up accounting, the herald
 # draws or the rate arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
     "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
@@ -631,156 +636,156 @@ GOLDEN_CASES = {
 
 GOLDEN_STATS = {
     ("p001_n500", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=1000000,
         warmup_cycles=1000,
         measured_cycles=999000,
         tau_c_ns=500.0,
-        heralds_left=1808,
+        heralds_left=1814,
         heralds_right=1815,
-        true_coincidences=7,
+        true_coincidences=9,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.0901951951951952,
-        rate_hz=14.01401401401401,
+        open_fraction=0.09001101101101101,
+        rate_hz=18.018018018018015,
         infidelity_estimate=0.0,
     ),
     ("p001_n500", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=1000000,
         warmup_cycles=1000,
         measured_cycles=999000,
         tau_c_ns=500.0,
-        heralds_left=2544,
-        heralds_right=2583,
-        true_coincidences=1,
+        heralds_left=2536,
+        heralds_right=2556,
+        true_coincidences=4,
         false_coincidences=0,
-        one_sided_confirms=5,
-        open_fraction=0.08422022022022022,
-        rate_hz=2.0020020020020017,
+        one_sided_confirms=7,
+        open_fraction=0.08292592592592593,
+        rate_hz=8.008008008008007,
         infidelity_estimate=0.0,
     ),
     ("dark_counts", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=50000,
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1690,
-        heralds_right=1681,
-        true_coincidences=44,
-        false_coincidences=28,
+        heralds_left=1653,
+        heralds_right=1668,
+        true_coincidences=35,
+        false_coincidences=25,
         one_sided_confirms=0,
-        open_fraction=0.25206164931945557,
-        rate_hz=2882.30584467574,
-        infidelity_estimate=0.3888888888888889,
+        open_fraction=0.25446357085668536,
+        rate_hz=2401.921537229783,
+        infidelity_estimate=0.4166666666666667,
     ),
     ("dark_counts", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=50000,
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1824,
-        heralds_right=1831,
-        true_coincidences=20,
-        false_coincidences=15,
-        one_sided_confirms=46,
-        open_fraction=0.2663330664531625,
-        rate_hz=1401.1208967173736,
-        infidelity_estimate=0.42857142857142855,
+        heralds_left=1767,
+        heralds_right=1808,
+        true_coincidences=25,
+        false_coincidences=9,
+        one_sided_confirms=41,
+        open_fraction=0.27089671737389914,
+        rate_hz=1361.0888710968773,
+        infidelity_estimate=0.2647058823529412,
     ),
     ("trace", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=3000,
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=303,
-        heralds_right=307,
-        true_coincidences=36,
-        false_coincidences=1,
+        heralds_left=300,
+        heralds_right=308,
+        true_coincidences=29,
+        false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.3196117804551539,
-        rate_hz=24765.729585006688,
-        infidelity_estimate=0.02702702702702703,
+        open_fraction=0.30522088353413657,
+        rate_hz=19410.97724230254,
+        infidelity_estimate=0.0,
         trace=(
             (3, "right", "herald"), (5, "left", "herald"),
-            (9, "right", "timeout"), (13, "left", "herald"),
-            (18, "right", "herald"), (19, "left", "timeout"),
-            (20, "left", "herald"), (26, "left", "timeout"),
-            (29, "left", "herald"), (32, "right", "herald"),
-            (35, "left", "timeout"), (38, "left", "herald"),
-            (40, "right", "herald"), (44, "left", "timeout"),
-            (45, "left", "herald"), (46, "right", "herald"),
-            (51, "left", "timeout"), (53, "right", "herald"),
-            (54, "left", "herald"), (59, "right", "timeout"),
-            (60, "right", "herald"), (63, "left", "herald"),
-            (66, "right", "timeout"), (69, "right", "herald"),
+            (9, "right", "timeout"), (17, "left", "herald"),
+            (23, "left", "timeout"), (24, "right", "herald"),
+            (30, "left", "herald"), (30, "right", "timeout"),
+            (39, "left", "herald"), (44, "right", "herald"),
+            (45, "left", "timeout"), (46, "right", "herald"),
+            (47, "left", "herald"), (52, "right", "timeout"),
+            (59, "left", "herald"), (59, "right", "herald"),
+            (65, "both", "confirm"), (66, "left", "herald"),
+            (68, "right", "herald"), (72, "left", "timeout"),
+            (75, "right", "herald"), (76, "left", "herald"),
+            (81, "right", "timeout"), (83, "left", "herald"),
         ),
     ),
     ("trace", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=3000,
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=315,
-        heralds_right=314,
-        true_coincidences=19,
+        heralds_left=305,
+        heralds_right=312,
+        true_coincidences=24,
         false_coincidences=1,
-        one_sided_confirms=15,
-        open_fraction=0.3169344042838019,
-        rate_hz=13386.880856760372,
-        infidelity_estimate=0.05,
+        one_sided_confirms=10,
+        open_fraction=0.32028112449799195,
+        rate_hz=16733.601070950466,
+        infidelity_estimate=0.04,
         trace=(
             (3, "right", "herald"), (5, "left", "herald"),
             (9, "left", "mismatch_reset"), (9, "right", "timeout"),
-            (11, "right", "stale_ignored"), (13, "left", "herald"),
-            (18, "right", "herald"), (19, "left", "timeout"),
-            (19, "right", "mismatch_reset"), (20, "left", "herald"),
-            (24, "left", "mismatch_reset"), (26, "right", "stale_ignored"),
-            (29, "left", "herald"), (32, "right", "herald"),
-            (35, "left", "timeout"), (35, "right", "mismatch_reset"),
-            (38, "left", "stale_ignored"), (38, "left", "herald"),
-            (40, "right", "herald"), (44, "left", "timeout"),
-            (44, "right", "mismatch_reset"), (45, "left", "herald"),
-            (46, "left", "mismatch_reset"), (46, "right", "herald"),
+            (11, "right", "stale_ignored"), (17, "left", "herald"),
+            (23, "left", "timeout"), (23, "right", "stale_ignored"),
+            (24, "right", "herald"), (30, "left", "stale_ignored"),
+            (30, "left", "herald"), (30, "right", "timeout"),
+            (36, "left", "timeout"), (36, "right", "stale_ignored"),
+            (44, "right", "herald"), (45, "left", "herald"),
+            (50, "left", "mismatch_reset"), (50, "right", "timeout"),
+            (51, "right", "stale_ignored"), (51, "right", "herald"),
+            (52, "left", "herald"), (57, "left", "mismatch_reset"),
+            (57, "right", "timeout"), (58, "right", "stale_ignored"),
         ),
     ),
     ("n1", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=20000,
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4854,
-        heralds_right=4874,
-        true_coincidences=1158,
+        heralds_left=4815,
+        heralds_right=4865,
+        true_coincidences=1255,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.6594659465946595,
-        rate_hz=115811.5811581158,
+        open_fraction=0.6635163516351635,
+        rate_hz=125512.5512551255,
         infidelity_estimate=0.0,
         trace=(
             (0, "right", "herald"), (1, "left", "herald"),
             (1, "right", "timeout"), (2, "left", "herald"),
-            (3, "left", "timeout"), (4, "right", "herald"),
+            (3, "left", "timeout"), (5, "right", "herald"),
         ),
     ),
     ("n1", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=20000,
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4649,
-        heralds_right=4697,
-        true_coincidences=1049,
+        heralds_left=4609,
+        heralds_right=4681,
+        true_coincidences=1109,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.5851085108510851,
-        rate_hz=104910.4910491049,
+        open_fraction=0.5909090909090909,
+        rate_hz=110911.0911091109,
         infidelity_estimate=0.0,
         trace=(
             (0, "right", "herald"), (1, "left", "stale_ignored"),
@@ -829,34 +834,34 @@ GOLDEN_STATS = {
         ),
     ),
     ("beta_qd_1_dark", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=30000,
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=1780,
-        heralds_right=1781,
-        true_coincidences=308,
+        heralds_left=1774,
+        heralds_right=1778,
+        true_coincidences=296,
         false_coincidences=61,
         one_sided_confirms=0,
-        open_fraction=0.10754087420754087,
-        rate_hz=24624.624624624623,
-        infidelity_estimate=0.16531165311653118,
+        open_fraction=0.11004337671004338,
+        rate_hz=23823.823823823823,
+        infidelity_estimate=0.17086834733893558,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=30000,
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=2475,
-        heralds_right=2482,
-        true_coincidences=33,
-        false_coincidences=7,
-        one_sided_confirms=230,
-        open_fraction=0.09095762429095762,
-        rate_hz=2669.336002669336,
-        infidelity_estimate=0.175,
+        heralds_left=2446,
+        heralds_right=2463,
+        true_coincidences=34,
+        false_coincidences=11,
+        one_sided_confirms=211,
+        open_fraction=0.08892225558892225,
+        rate_hz=3003.0030030030025,
+        infidelity_estimate=0.24444444444444444,
     ),
     ("beta_qd_0", "omniscient"): SimStats(
         mode="omniscient",
@@ -889,77 +894,77 @@ GOLDEN_STATS = {
         infidelity_estimate=None,
     ),
     ("beta_qd_0_dark", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=40000,
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2215,
-        heralds_right=2204,
+        heralds_left=2214,
+        heralds_right=2220,
         true_coincidences=0,
-        false_coincidences=131,
+        false_coincidences=128,
         one_sided_confirms=0,
-        open_fraction=0.34269634817408706,
-        rate_hz=6553.276638319158,
+        open_fraction=0.34132066033016506,
+        rate_hz=6403.201600800398,
         infidelity_estimate=1.0,
     ),
     ("beta_qd_0_dark", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=40000,
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2287,
-        heralds_right=2296,
+        heralds_left=2290,
+        heralds_right=2278,
         true_coincidences=0,
-        false_coincidences=100,
-        one_sided_confirms=41,
-        open_fraction=0.3507253626813407,
-        rate_hz=5002.5012506253115,
+        false_coincidences=83,
+        one_sided_confirms=50,
+        open_fraction=0.3407453726863432,
+        rate_hz=4152.076038019009,
         infidelity_estimate=1.0,
     ),
     ("short_run", "omniscient"): SimStats(
-        mode="omniscient",
+        mode='omniscient',
         cycles_run=500,
         warmup_cycles=200,
         measured_cycles=300,
         tau_c_ns=500.0,
         heralds_left=3,
         heralds_right=3,
-        true_coincidences=0,
+        true_coincidences=1,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.03333333333333333,
-        rate_hz=0.0,
-        infidelity_estimate=None,
+        open_fraction=0.03666666666666667,
+        rate_hz=6666.666666666666,
+        infidelity_estimate=0.0,
         trace=(
             (2, "left", "herald"), (6, "right", "herald"),
-            (102, "left", "timeout"), (104, "left", "herald"),
-            (104, "right", "herald"), (204, "both", "confirm"),
-            (207, "left", "herald"), (208, "right", "herald"),
-            (307, "left", "timeout"),
+            (102, "left", "timeout"), (104, "right", "herald"),
+            (106, "left", "herald"), (204, "right", "timeout"),
+            (206, "right", "herald"), (209, "left", "herald"),
+            (306, "right", "timeout"),
         ),
     ),
     ("short_run", "literal"): SimStats(
-        mode="literal",
+        mode='literal',
         cycles_run=500,
         warmup_cycles=200,
         measured_cycles=300,
         tau_c_ns=500.0,
         heralds_left=3,
         heralds_right=3,
-        true_coincidences=0,
+        true_coincidences=1,
         false_coincidences=0,
-        one_sided_confirms=1,
-        open_fraction=0.03333333333333333,
-        rate_hz=0.0,
-        infidelity_estimate=None,
+        one_sided_confirms=0,
+        open_fraction=0.03666666666666667,
+        rate_hz=6666.666666666666,
+        infidelity_estimate=0.0,
         trace=(
             (2, "left", "herald"), (6, "right", "herald"),
             (102, "left", "timeout"), (102, "right", "mismatch_reset"),
-            (104, "left", "herald"), (104, "right", "herald"),
-            (106, "left", "mismatch_reset"), (108, "left", "herald"),
-            (204, "left", "mismatch_reset"),
+            (104, "right", "herald"), (106, "left", "stale_ignored"),
+            (106, "left", "herald"), (204, "left", "mismatch_reset"),
+            (204, "right", "timeout"),
         ),
     ),
     ("no_measured", "omniscient"): SimStats(
