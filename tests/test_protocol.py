@@ -9,6 +9,7 @@ import warnings
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpslink import (
@@ -400,6 +401,20 @@ class TestHeraldStream:
         assert abs(sum(gaps) / count - 1.0 / p) <= 4.0 * gap_se
         mark_se = math.sqrt(fraction * (1.0 - fraction) / count)
         assert abs(trues / count - fraction) <= 4.0 * mark_se
+
+    def test_gaps_are_the_scalar_inversion_of_raw_philox_words(self):
+        """Each wait is ``max(1, ceil(log1p(-u) / log1p(-p)))`` of a uniform
+        built from one raw 64-bit Philox word, the stream numpy keeps fixed
+        across releases; the loop here is the scalar reference."""
+        model = HeraldModel(p_true=0.2, p_false=0.1)
+        log_fail = math.log1p(-model.p_any)
+        words = np.random.Philox(np.random.SeedSequence([5, 1, 0])).random_raw(3000).tolist()
+        stream = _HeraldStream(5, model)
+        herald = -1
+        for word in words:  # spans two default blocks
+            expected = herald + max(1, math.ceil(math.log1p(-(word >> 11) / 2**53) / log_fail))
+            herald = stream.next_herald(1, herald + 1)
+            assert herald == expected
 
     def test_certain_and_impossible_heralds(self):
         never = _HeraldStream(3, HeraldModel(p_true=0.0, p_false=0.0))
