@@ -11,7 +11,6 @@ from mpslink import (
     DetectorModel,
     SimConfig,
     des_run,
-    estimate_infidelity,
     mpi_infidelity,
     mps_infidelity,
     mps_infidelity_simplified,
@@ -38,4 +37,4 @@ stats = des_run(
 pairs = stats.true_coincidences + stats.false_coincidences
 print(f"\nsimulation at beta = {beta}, p_dc = {p_dc}: {pairs} confirmed pairs")
 print(f"  false pairs: {stats.false_coincidences}")
-print(f"  measured infidelity: {estimate_infidelity(stats):.4f}")
+print(f"  measured infidelity: {stats.infidelity_estimate:.4f}")

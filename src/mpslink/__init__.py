@@ -41,25 +41,13 @@ from .optics import (
     prob_to_db,
 )
 from .protocol import (
-    ClassicalMessage,
-    Closed,
-    HeraldKind,
     HeraldModel,
-    HeraldRecord,
     InvariantError,
-    Open,
-    OPEN,
-    Side,
     SimConfig,
     SimMode,
     SimStats,
-    StepEvent,
-    bsm_attempt_sample,
     des_run,
-    estimate_infidelity,
     herald_model,
-    mpi_reference_run,
-    receiver_step,
     write_trace_csv,
 )
 from .rates import (
@@ -80,35 +68,25 @@ __all__ = [
     "BsmVariant",
     "Chain",
     "ChannelGeometry",
-    "ClassicalMessage",
-    "Closed",
     "DB_HALF",
     "DetectorModel",
     "EncodingVariant",
-    "HeraldKind",
     "HeraldModel",
-    "HeraldRecord",
     "ImprovementFactor",
     "InvariantError",
     "LossBudget",
     "MidpointVariant",
-    "OPEN",
-    "Open",
     "RateReport",
-    "Side",
     "SideLoss",
     "SimConfig",
     "SimMode",
     "SimStats",
-    "StepEvent",
     "TimingParams",
-    "bsm_attempt_sample",
     "bsm_loss_db",
     "collapse",
     "collapsed_chain",
     "db_to_prob",
     "des_run",
-    "estimate_infidelity",
     "false_coincidence_prob",
     "full_chain",
     "herald_model",
@@ -117,7 +95,6 @@ __all__ = [
     "mpi_infidelity",
     "mpi_loss",
     "mpi_rate",
-    "mpi_reference_run",
     "mps_infidelity",
     "mps_infidelity_simplified",
     "mps_rate",
@@ -126,7 +103,6 @@ __all__ = [
     "mps_side_loss",
     "prob_to_db",
     "rate_from_stationary",
-    "receiver_step",
     "stationary",
     "stationary_as_dict",
     "stationary_closed_prob",

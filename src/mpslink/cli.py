@@ -30,7 +30,7 @@ from .optics import (
     mps_infidelity,
     mps_side_loss,
 )
-from .protocol import SimConfig, SimMode, des_run, estimate_infidelity
+from .protocol import SimConfig, SimMode, des_run
 from .rates import RateReport, TimingParams, mpi_rate, mps_rate, mps_rate_limit
 from .rng import derive_seed
 
@@ -100,6 +100,21 @@ class RunConfig:
 
     def sim_mode(self) -> SimMode:
         return SimMode.from_key(self.mode)
+
+    def sim_config(self, total_cycles: int, seed: int, length_km: float | None = None) -> SimConfig:
+        """DES inputs of this config, at ``length_km`` or the configured length."""
+        return SimConfig.from_hardware(
+            self.budget(),
+            self.geometry(length_km),
+            total_cycles=total_cycles,
+            tau_c_ns=self.tau_c_ns,
+            seed=seed,
+            encoding=self.encoding_variant(),
+            midpoint=self.midpoint_variant(),
+            detector=self.detector(),
+            bsm_variant=self.bsm(),
+            mode=self.sim_mode(),
+        )
 
     def sweep_distances(self) -> list[float]:
         return _parse_sweep(self.sweep)
@@ -248,22 +263,10 @@ def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateRe
     sim_rate = None
     sim_infidelity = None
     if simulate:
-        sim = des_run(
-            SimConfig.from_hardware(
-                budget,
-                geom,
-                total_cycles=config.cycles,
-                tau_c_ns=config.tau_c_ns,
-                seed=derive_seed(config.seed, "sweep", length_km),
-                encoding=encoding,
-                midpoint=midpoint,
-                detector=config.detector(),
-                bsm_variant=config.bsm(),
-                mode=config.sim_mode(),
-            )
-        )
+        seed = derive_seed(config.seed, "sweep", length_km)
+        sim = des_run(config.sim_config(config.cycles, seed, length_km))
         sim_rate = sim.rate_hz
-        sim_infidelity = estimate_infidelity(sim)
+        sim_infidelity = sim.infidelity_estimate
 
     return RateReport(
         distance_km=length_km,
@@ -361,19 +364,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    sim_config = SimConfig.from_hardware(
-        config.budget(),
-        config.geometry(),
-        total_cycles=config.cycles,
-        tau_c_ns=config.tau_c_ns,
-        seed=config.seed,
-        encoding=config.encoding_variant(),
-        midpoint=config.midpoint_variant(),
-        detector=config.detector(),
-        bsm_variant=config.bsm(),
-        mode=config.sim_mode(),
-    )
-    stats = des_run(sim_config)
+    stats = des_run(config.sim_config(config.cycles, config.seed))
     sys.stdout.write(stats.to_json() + "\n")
     return 0
 
@@ -412,20 +403,8 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
         "mpi_infidelity": mpi_infidelity(p_dc, beta_1),
     }
     if args.mc_cycles:
-        sim_config = SimConfig.from_hardware(
-            budget,
-            geom,
-            total_cycles=args.mc_cycles,
-            tau_c_ns=config.tau_c_ns,
-            seed=config.seed,
-            encoding=encoding,
-            midpoint=config.midpoint_variant(),
-            detector=config.detector(),
-            bsm_variant=config.bsm(),
-            mode=config.sim_mode(),
-        )
-        stats = des_run(sim_config)
-        payload["mc_infidelity"] = estimate_infidelity(stats)
+        stats = des_run(config.sim_config(args.mc_cycles, config.seed))
+        payload["mc_infidelity"] = stats.infidelity_estimate
         payload["mc_pairs"] = stats.true_coincidences + stats.false_coincidences
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0

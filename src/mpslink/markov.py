@@ -26,6 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+# Largest accepted max |pi T - pi| of a stationary vector.
+_RESIDUAL_TOL = 1e-12
+
 
 def _check_n(n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -61,12 +64,6 @@ class Chain:
             *(f"(0,{i})" for i in rows),
             *(f"({i},{i})" for i in rows),
         )
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no state labeled {label!r}") from None
 
 
 def _csr(rows: tuple, cols: tuple, vals: tuple, size: int) -> sp.csr_matrix:
@@ -116,7 +113,7 @@ def collapsed_chain(n: int, p: float) -> Chain:
     return Chain(n=n, p=p, kind="collapsed", matrix=_csr(rows, cols, vals, n + 1))
 
 
-def stationary(chain: Chain, residual_tol: float = 1e-12) -> np.ndarray:
+def stationary(chain: Chain) -> np.ndarray:
     """Stationary distribution by the ring recurrence, checked on ``pi T = pi``.
 
     With ``pi(0,0) = 1`` and ``q = 1 - p``, the states that wait on one side
@@ -136,8 +133,8 @@ def stationary(chain: Chain, residual_tol: float = 1e-12) -> np.ndarray:
         pi = np.concatenate(([1.0], side, side, both))
     pi /= pi.sum()
     residual = np.max(np.abs(pi @ chain.matrix - pi))
-    if residual > residual_tol:
-        raise ArithmeticError(f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > _RESIDUAL_TOL:
+        raise ArithmeticError(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return pi
 
 

@@ -24,12 +24,15 @@ equal configs give bit-identical runs.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
-The engines do not call it: they index the two sides as ``0`` (left) and
-``1`` (right) and keep per-side state in plain ints, lists and tuples, and
-the literal engine applies the same rule inline, so no object is allocated
-per event.  The tests drive a loop over :func:`receiver_step` as the
-reference the literal engine must match field for field.  Invariant
-violations raise :class:`InvariantError`, also under ``python -O``.
+It and its dataclasses, like the per-attempt sampler
+:func:`bsm_attempt_sample`, are a test reference and are not exported from
+:mod:`mpslink`.  The engines do not call it: they index the two sides as
+``0`` (left) and ``1`` (right) and keep per-side state in plain ints, lists
+and tuples, and the literal engine applies the same rule inline, so no
+object is allocated per event.  The tests drive a loop over
+:func:`receiver_step` as the reference the literal engine must match field
+for field.  Invariant violations raise :class:`InvariantError`, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import numbers
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -280,13 +283,12 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        if self.tau_c_ns <= 0:
-            raise ValueError(f"tau_c_ns must be positive, got {self.tau_c_ns!r}")
-        if self.trace_limit < 0:
-            raise ValueError("trace_limit must be >= 0")
+        for name in ("seed", "trace_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not math.isfinite(self.tau_c_ns) or self.tau_c_ns <= 0:
+            raise ValueError(f"tau_c_ns must be positive and finite, got {self.tau_c_ns!r}")
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
             raise ValueError("p_dc too large: per-attempt dark acceptance exceeds 1")
         if self.total_cycles < 10 * self.n:
@@ -364,33 +366,10 @@ class SimStats:
             raise ValueError("open_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "cycles_run": self.cycles_run,
-            "warmup_cycles": self.warmup_cycles,
-            "measured_cycles": self.measured_cycles,
-            "tau_c_ns": self.tau_c_ns,
-            "heralds_left": self.heralds_left,
-            "heralds_right": self.heralds_right,
-            "true_coincidences": self.true_coincidences,
-            "false_coincidences": self.false_coincidences,
-            "one_sided_confirms": self.one_sided_confirms,
-            "open_fraction": self.open_fraction,
-            "rate_hz": self.rate_hz,
-            "infidelity_estimate": self.infidelity_estimate,
-        }
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-
-def estimate_infidelity(stats: SimStats) -> float | None:
-    """Fraction of confirmed pairs tainted by a false herald; None when no pairs."""
-    pairs = stats.true_coincidences + stats.false_coincidences
-    if pairs == 0:
-        return None
-    return stats.false_coincidences / pairs
 
 
 def write_trace_csv(stats: SimStats, destination) -> None:
@@ -717,33 +696,3 @@ def des_run(config: SimConfig) -> SimStats:
     if config.mode is SimMode.OMNISCIENT:
         return _run_omniscient(config)
     return _run_literal(config)
-
-
-def mpi_reference_run(beta_1: float, tau_t_s: float, windows: int, seed: int = 0) -> SimStats:
-    """Baseline midpoint-interference run: one attempt per full delay window.
-
-    Window outcomes are independent Bernoulli(beta_1) trials, drawn as one
-    binomial count; the long-run rate converges to ``beta_1 / tau_t``.
-    """
-    if not 0.0 <= beta_1 <= 1.0:
-        raise ValueError(f"beta_1 must lie in [0, 1], got {beta_1!r}")
-    if tau_t_s <= 0:
-        raise ValueError(f"tau_t_s must be positive, got {tau_t_s!r}")
-    if windows < 1:
-        raise ValueError(f"windows must be >= 1, got {windows!r}")
-    successes = int(np.random.default_rng(seed).binomial(windows, beta_1))
-    return SimStats(
-        mode="mpi_reference",
-        cycles_run=windows,
-        warmup_cycles=0,
-        measured_cycles=windows,
-        tau_c_ns=tau_t_s * 1e9,
-        heralds_left=successes,
-        heralds_right=successes,
-        true_coincidences=successes,
-        false_coincidences=0,
-        one_sided_confirms=0,
-        open_fraction=1.0,
-        rate_hz=successes / (windows * tau_t_s),
-        infidelity_estimate=0.0 if successes > 0 else None,
-    )

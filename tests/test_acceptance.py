@@ -22,7 +22,6 @@ from mpslink import (
     collapse,
     db_to_prob,
     des_run,
-    estimate_infidelity,
     full_chain,
     mpi_loss,
     mpi_rate,
@@ -299,14 +298,14 @@ def test_criterion_07_dark_count_fidelity():
     q = p_true + p_false
     oracle = 1.0 - (p_true / q) ** 2
     pairs = stats.true_coincidences + stats.false_coincidences
-    estimate = estimate_infidelity(stats)
+    estimate = stats.infidelity_estimate
     sigma = math.sqrt(oracle * (1.0 - oracle) / pairs)
     z = abs(estimate - oracle) / sigma
 
     clean = des_run(
         SimConfig(beta_qd=beta, beta_ms=beta, n=5, total_cycles=1_000_000, seed=7)
     )
-    clean_estimate = estimate_infidelity(clean)
+    clean_estimate = clean.infidelity_estimate
 
     ok = worst <= 1e-12 and z <= 3.0 and clean_estimate == 0.0
     _report(

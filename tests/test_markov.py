@@ -104,7 +104,7 @@ class TestChainConstruction:
         ])
         assert np.array_equal(chain.matrix.toarray(), expected)
         assert chain.matrix.nnz == np.count_nonzero(expected)
-        assert chain.index_of("(2,2)") == 6
+        assert chain.labels.index("(2,2)") == 6
 
     def test_rows_stochastic(self):
         for n in (1, 3, 10, 40):
@@ -298,7 +298,7 @@ class TestRandomWalkFlux:
         chain = full_chain(n, p)
         matrix = chain.matrix.toarray()
         cumulative = np.cumsum(matrix, axis=1)
-        target = chain.index_of(f"({n},{n})")
+        target = chain.labels.index(f"({n},{n})")
 
         rng = random.Random(20240601)
         state = 0

@@ -15,27 +15,27 @@ import pytest
 from mpslink import (
     BsmVariant,
     ChannelGeometry,
+    InvariantError,
+    LossBudget,
+    SimConfig,
+    SimMode,
+    SimStats,
+    des_run,
+    herald_model,
+    rate_from_stationary,
+    stationary_open_prob,
+    write_trace_csv,
+)
+from mpslink.protocol import (
+    OPEN,
     ClassicalMessage,
     Closed,
     HeraldKind,
     HeraldRecord,
-    InvariantError,
-    LossBudget,
-    OPEN,
     Open,
     Side,
-    SimConfig,
-    SimMode,
-    SimStats,
     bsm_attempt_sample,
-    des_run,
-    estimate_infidelity,
-    herald_model,
-    mpi_reference_run,
-    rate_from_stationary,
     receiver_step,
-    stationary_open_prob,
-    write_trace_csv,
 )
 from mpslink.protocol import _NEVER, HeraldModel, _HeraldStream, _open_cycles, _sim_stats
 
@@ -155,7 +155,7 @@ class TestReceiverStep:
 
     def test_invariant_checks_survive_optimized_mode(self):
         code = (
-            "from mpslink import Closed, InvariantError, receiver_step\n"
+            "from mpslink.protocol import Closed, InvariantError, receiver_step\n"
             "print('debug:', __debug__)\n"
             "try:\n"
             "    receiver_step(Closed(bin=7, deadline=17), 12, None, [], 5)\n"
@@ -455,6 +455,19 @@ class TestSimConfig:
         config = SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=1000, seed=2**64 - 1)
         assert des_run(config).heralds_left > 0
 
+    def test_rejects_non_finite_clock(self):
+        """A NaN clock used to give a NaN rate and an infinite one a rate of 0."""
+        for tau_c_ns in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tau_c_ns must be positive and finite"):
+                SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=1000, tau_c_ns=tau_c_ns)
+
+    def test_rejects_non_integer_trace_limit(self):
+        """``trace_limit`` follows the integer rule of ``seed``: 2.5 used to
+        record 3 trace notes and ``True`` 1."""
+        for trace_limit in (2.5, True):
+            with pytest.raises(ValueError, match="^trace_limit must be an integer >= 0"):
+                SimConfig(trace_limit=trace_limit, **LOSSLESS)
+
     def test_warns_on_short_run(self):
         with pytest.warns(UserWarning):
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500)
@@ -544,7 +557,7 @@ class TestDesRun:
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=5, total_cycles=200_000, seed=4)
         )
         assert stats.false_coincidences == 0
-        assert estimate_infidelity(stats) == 0.0
+        assert stats.infidelity_estimate == 0.0
 
     def test_mc_infidelity_matches_union_oracle(self):
         beta, p_dc = 0.1, 1e-3
@@ -559,7 +572,7 @@ class TestDesRun:
         q = p_true + p_false
         oracle = 1.0 - (p_true / q) ** 2
         pairs = stats.true_coincidences + stats.false_coincidences
-        estimate = estimate_infidelity(stats)
+        estimate = stats.infidelity_estimate
         sigma = math.sqrt(oracle * (1.0 - oracle) / pairs)
         assert abs(estimate - oracle) <= 3.0 * sigma
 
@@ -593,34 +606,6 @@ class TestDesRun:
             "rate_hz",
             "infidelity_estimate",
         ]
-
-
-class TestMpiReferenceRun:
-    def test_lossless_one_pair_per_window(self):
-        stats = mpi_reference_run(1.0, 250e-6, windows=1000, seed=0)
-        assert stats.true_coincidences == 1000
-        assert stats.rate_hz == pytest.approx(1.0 / 250e-6, rel=1e-12)
-
-    def test_total_loss(self):
-        stats = mpi_reference_run(0.0, 250e-6, windows=1000, seed=0)
-        assert stats.true_coincidences == 0
-        assert stats.rate_hz == 0.0
-        assert estimate_infidelity(stats) is None
-
-    def test_rate_converges_to_formula(self):
-        beta_1, tau_t, windows = 1e-4, 250e-6, 10_000_000
-        stats = mpi_reference_run(beta_1, tau_t, windows=windows, seed=5)
-        sigma_count = math.sqrt(windows * beta_1 * (1.0 - beta_1))
-        expected = windows * beta_1
-        assert abs(stats.true_coincidences - expected) <= 3.0 * sigma_count
-        assert stats.rate_hz == pytest.approx(
-            stats.true_coincidences / (windows * tau_t), rel=1e-12
-        )
-
-    def test_deterministic(self):
-        assert mpi_reference_run(1e-3, 1e-4, 10_000, seed=9) == mpi_reference_run(
-            1e-3, 1e-4, 10_000, seed=9
-        )
 
 
 # Full SimStats of both engines on fixed seeds.  The degenerate cases
