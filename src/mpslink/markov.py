@@ -66,14 +66,6 @@ class Chain:
         )
 
 
-def _csr(rows: tuple, cols: tuple, vals: tuple, size: int) -> sp.csr_matrix:
-    """CSR matrix from the concatenated COO pieces, dropping zero probabilities."""
-    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    matrix.eliminate_zeros()
-    return matrix
-
-
 def full_chain(n: int, p: float) -> Chain:
     """Build the ``3n + 1``-state chain of the two-receiver protocol.
 
@@ -83,34 +75,47 @@ def full_chain(n: int, p: float) -> Chain:
     ``p(1-p)`` each side, or none.  While one side is closed the open side's
     herald drags both onto the diagonal; a herald during the final closed
     cycle is discarded so the pair of receivers still reopens together.
+
+    The CSR arrays are filled in place, row by row with sorted columns:
+    ``(0,0)`` has four entries, every row-1 state one (it reopens),
+    ``(i,0)`` and ``(0,i)`` two for ``i > 1``, and ``(i,i)`` one.
     """
     _check_n(n)
     _check_p(p)
     q = 1.0 - p
-    i = np.arange(2, n + 1)  # rows that step down to row i - 1
-    ps, qs, ones = np.full(n - 1, p), np.full(n - 1, q), np.ones(n - 1)
-    rows, cols, vals = zip(
-        ([0, 0, 0, 0], [0, n, 2 * n, 3 * n], [q * q, p * q, p * q, p * p]),
-        ([1, n + 1, 2 * n + 1], [0, 0, 0], [1.0, 1.0, 1.0]),  # row 1 reopens
-        (i, i - 1, qs),  # (i,0) -> (i-1,0)
-        (i, 2 * n + i - 1, ps),  # (i,0) -> (i-1,i-1)
-        (n + i, n + i - 1, qs),  # (0,i) -> (0,i-1)
-        (n + i, 2 * n + i - 1, ps),  # (0,i) -> (i-1,i-1)
-        (2 * n + i, 2 * n + i - 1, ones),  # (i,i) -> (i-1,i-1)
-    )
-    return Chain(n=n, p=p, kind="full", matrix=_csr(rows, cols, vals, 3 * n + 1))
+    size, nnz = 3 * n + 1, 5 * n + 2
+    itype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    counts = np.ones(size, dtype=itype)
+    counts[0] = 4
+    counts[2 : n + 1] = counts[n + 2 : 2 * n + 1] = 2
+    indptr = np.zeros(size + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(nnz, dtype=itype), np.empty(nnz)
+    indices[:4], data[:4] = (0, n, 2 * n, 3 * n), (q * q, p * q, p * q, p * p)
+    i = np.arange(2, n + 1)
+    for start, offset in ((4, 0), (2 * n + 3, n)):  # (i,0) rows, then (0,i) rows
+        indices[start], data[start] = 0, 1.0  # row 1 reopens
+        pairs = indices[start + 1 : start + 2 * n - 1].reshape(-1, 2)
+        pairs[:, 0], pairs[:, 1] = offset + i - 1, 2 * n + i - 1  # one step down, diagonal
+        data[start + 1 : start + 2 * n - 1].reshape(-1, 2)[:] = (q, p)
+    indices[4 * n + 2], indices[4 * n + 3 :] = 0, 2 * n + i - 1  # (i,i) -> (i-1,i-1)
+    data[4 * n + 2 :] = 1.0
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.eliminate_zeros()
+    return Chain(n=n, p=p, kind="full", matrix=matrix)
 
 
 def collapsed_chain(n: int, p: float) -> Chain:
     """Build the ``n + 1``-state chain over the time until both sides are open."""
     _check_n(n)
     _check_p(p)
-    i = np.arange(1, n + 1)
-    rows, cols, vals = zip(
-        ([0, 0], [0, n], [(1.0 - p) ** 2, 2.0 * p - p * p]),
-        (i, i - 1, np.ones(n)),  # [i] -> [i-1]
-    )
-    return Chain(n=n, p=p, kind="collapsed", matrix=_csr(rows, cols, vals, n + 1))
+    indptr = np.concatenate(([0], np.arange(2, n + 3)))
+    indices = np.concatenate(([0, n], np.arange(n)))  # [i] -> [i-1]
+    data = np.ones(n + 2)
+    data[:2] = (1.0 - p) ** 2, 2.0 * p - p * p
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    matrix.eliminate_zeros()
+    return Chain(n=n, p=p, kind="collapsed", matrix=matrix)
 
 
 def stationary(chain: Chain) -> np.ndarray:

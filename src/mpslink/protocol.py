@@ -19,8 +19,11 @@ Both engines are event-driven: while nothing can happen, whole stretches
 of idle cycles are skipped.  Attempts are independent per cycle, so a
 reopened receiver's wait for its next herald is geometric and is drawn in
 one step.  Each side's waits and true/false marks come from Philox
-streams keyed by (seed, side, purpose), one value of each per herald, and
-equal configs give bit-identical runs.
+streams keyed by (seed, side, purpose), one value of each per herald,
+served as one iterator of ``(gap, is_true)`` pairs per side whose
+``next()`` runs in C, so a herald's mark travels with its gap.  Equal
+configs give bit-identical runs.  The omniscient engine is a tight epoch
+loop that keeps both sides' pending heralds in locals.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -37,6 +40,7 @@ for field.  Invariant violations raise :class:`InvariantError`, also under
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -44,7 +48,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -391,16 +395,24 @@ _SIDE_KEYS = tuple(side.value for side in Side)
 _GAP, _MARK = 0, 1
 
 
-class _HeraldStream:
-    """Per-side herald process: when a reopened receiver heralds, and how.
+# Uniforms drawn ahead per Philox stream, read at draw time.
+_BLOCK = 2**11
+
+
+def _uniforms(bits: np.random.Philox) -> np.ndarray:
+    return (bits.random_raw(_BLOCK) >> 11) * 2.0**-53
+
+
+def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[tuple[int, bool]]:
+    """Per-side herald process: ``(gap, is_true)`` for each successive herald.
 
     A receiver attempts every cycle with probability ``p_any``, and the
     attempts are independent, so the wait from its reopening cycle
-    ``open_from`` to its first success is geometric: skipping the failed
-    cycles with one inversion draw is exact, and no attempt made while the
-    side was closed is ever drawn.  Each herald carries a true/false mark
-    with probability ``true_fraction``.  Sides are the engine indices 0
-    (left) and 1 (right).
+    ``open_from`` to its first success is geometric: the herald lands at
+    ``open_from + gap - 1``, one inversion draw skips the failed cycles, and
+    no attempt made while the side was closed is ever drawn.  Each herald
+    carries a true/false mark with probability ``true_fraction``, paired
+    with its own gap.  Sides are the engine indices 0 (left) and 1 (right).
 
     Each side has two Philox streams (Salmon et al., SC'11) keyed by
     ``(seed, side, purpose)``: one for gaps and one for marks.  Its k-th
@@ -408,69 +420,28 @@ class _HeraldStream:
     block size ``_BLOCK`` in which they are drawn ahead.  Uniforms are
     built from the raw 64-bit Philox words, whose stream numpy keeps fixed
     across releases (NEP 19), so equal configs give bit-identical runs.
-
-    Callers keep a pointer contract: a side reopens only after its last
-    herald, and ``is_true`` asks only about that last herald (``-1`` before
-    the first).
+    ``next()`` on the result runs in C except once per block.
     """
+    p = model.p_any
+    if p <= 0.0:
+        return itertools.repeat((_NEVER + 1, False))  # lands at or after _NEVER
+    gap_bits, mark_bits = (
+        np.random.Philox(np.random.SeedSequence([seed, side, purpose]))
+        for purpose in (_GAP, _MARK)
+    )
+    log_fail = math.log1p(-p) if p < 1.0 else None
+    true_fraction = model.true_fraction
 
-    _BLOCK = 2**11
+    def blocks() -> Iterator[zip]:
+        while True:
+            if log_fail is None:
+                gaps = [1] * _BLOCK  # p = 1: every cycle succeeds
+            else:
+                gaps = np.ceil(np.log1p(-_uniforms(gap_bits)) / log_fail)
+                gaps = np.clip(gaps, 1.0, _NEVER).astype(np.int64).tolist()
+            yield zip(gaps, (_uniforms(mark_bits) < true_fraction).tolist())
 
-    def __init__(self, seed: int, model: HeraldModel):
-        p = model.p_any
-        self._never = p <= 0.0
-        self._log_fail = math.log1p(-p) if p < 1.0 else None
-        self._true_fraction = model.true_fraction
-        self._bits = [
-            [
-                np.random.Philox(np.random.SeedSequence([seed, side, purpose]))
-                for purpose in (_GAP, _MARK)
-            ]
-            for side in (0, 1)
-        ]
-        self._gaps: list[list[int]] = [[], []]
-        self._marks: list[list[bool]] = [[], []]
-        self._ptr = [-1, -1]
-        self._last = [-1, -1]
-
-    def _uniforms(self, bits: np.random.Philox) -> np.ndarray:
-        return (bits.random_raw(self._BLOCK) >> 11) * 2.0**-53
-
-    def _draw_block(self, side: int) -> None:
-        gap_bits, mark_bits = self._bits[side]
-        if self._log_fail is None:
-            self._gaps[side] = [1] * self._BLOCK  # p = 1: every cycle succeeds
-        else:
-            gaps = np.ceil(np.log1p(-self._uniforms(gap_bits)) / self._log_fail)
-            self._gaps[side] = np.clip(gaps, 1.0, _NEVER).astype(np.int64).tolist()
-        self._marks[side] = (self._uniforms(mark_bits) < self._true_fraction).tolist()
-
-    def next_herald(self, side: int, open_from: int) -> int:
-        """First success cycle of ``side`` at or after ``open_from``."""
-        last = self._last[side]
-        if open_from <= last:
-            raise InvariantError(
-                f"side {side} reopened at {open_from}, not after its last herald {last}"
-            )
-        if self._never:
-            return _NEVER
-        ptr = self._ptr[side] + 1
-        if ptr == len(self._gaps[side]):
-            self._draw_block(side)
-            ptr = 0
-        self._ptr[side] = ptr
-        herald = open_from + self._gaps[side][ptr] - 1
-        self._last[side] = herald
-        return herald
-
-    def is_true(self, side: int, cycle: int) -> bool:
-        """Whether the herald of ``side`` at ``cycle`` is genuine."""
-        last = self._last[side]
-        if cycle != last or last < 0:
-            raise InvariantError(
-                f"side {side} asked for the kind at {cycle}, not its last herald {last}"
-            )
-        return self._marks[side][self._ptr[side]]
+    return itertools.chain.from_iterable(blocks())
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
@@ -521,71 +492,73 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     cycles.  A coincident herald confirms a pair at the window end; a later
     herald on the other side just joins the wait, and in every non-matching
     case both sides reopen together right after the first herald's deadline,
-    discarding a herald that lands on the final closed cycle.
+    discarding a herald that lands on the final closed cycle.  A side whose
+    pending herald falls after that deadline keeps it into the next epoch.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
-    stream = _HeraldStream(config.seed, config.herald)
+    next_left = _herald_draws(config.seed, config.herald, 0).__next__
+    next_right = _herald_draws(config.seed, config.herald, 1).__next__
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []
+    room = trace_limit > 0  # the trace takes another note
 
-    pending = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
-    t0 = 0
-    while t0 < total:
-        t_first = min(pending)
-        if t_first >= total:
-            both_open += _open_cycles(t0, total - 1, warmup, total)
+    # Each side's pending herald cycle and its mark; both sides open at 0.
+    left, left_true = next_left()
+    right, right_true = next_right()
+    left, right, t0 = left - 1, right - 1, 0
+    while True:
+        if right < left:
+            first, bin, late = 1, right, left
+        else:
+            first, bin, late = 0, left, right
+        lo = t0 if t0 > warmup else warmup  # first measured cycle of the open span
+        if bin >= total:
+            both_open += total - lo
             break
-        both_open += _open_cycles(t0, t_first, warmup, total)
-        if pending[0] == pending[1]:
-            bin = t_first
-            # Both kinds are drawn, as the pair needs both to be genuine.
-            true_left = stream.is_true(0, bin)
-            true_right = stream.is_true(1, bin)
-            for side in (0, 1):
+        if bin >= lo:
+            both_open += bin - lo + 1
+        if bin >= warmup:
+            heralds[first] += 1
+        if room:
+            trace.append((bin, _SIDE_KEYS[first], "herald"))
+            room = len(trace) < trace_limit
+        end = bin + n
+        consumed = late <= end  # the other side heralded into the closed window
+        if consumed and late < total:
+            if late >= warmup:
+                heralds[1 - first] += 1
+            if room:
+                trace.append((late, _SIDE_KEYS[1 - first], "herald"))
+                room = len(trace) < trace_limit
+        if late == bin:
+            if end < total:
                 if bin >= warmup:
-                    heralds[side] += 1
-                if len(trace) < trace_limit:
-                    trace.append((bin, _SIDE_KEYS[side], "herald"))
-            confirm = bin + n
-            if confirm < total:
-                if bin >= warmup:
-                    if true_left and true_right:
+                    if left_true and right_true:
                         true_pairs += 1
                     else:
                         false_pairs += 1
-                if len(trace) < trace_limit:
-                    trace.append((confirm, "both", "confirm"))
-            t0 = confirm + 1
-            if t0 >= total:
-                break
-            pending = [stream.next_herald(0, t0), stream.next_herald(1, t0)]
-        else:
-            first = 0 if pending[0] < pending[1] else 1
-            second = 1 - first
-            bin = pending[first]
-            if bin >= warmup:
-                heralds[first] += 1
-            if len(trace) < trace_limit:
-                trace.append((bin, _SIDE_KEYS[first], "herald"))
-            late = pending[second]
-            second_consumed = late <= bin + n
-            if second_consumed and late < total:
-                # The open side heralded into the closed window; both reopen
-                # together at the first side's deadline.
-                if late >= warmup:
-                    heralds[second] += 1
-                if len(trace) < trace_limit:
-                    trace.append((late, _SIDE_KEYS[second], "herald"))
-            if len(trace) < trace_limit:
-                trace.append((min(bin + n, total - 1), _SIDE_KEYS[first], "timeout"))
-            t0 = bin + n + 1
-            if t0 >= total:
-                break
-            pending[first] = stream.next_herald(first, t0)
-            if second_consumed:
-                pending[second] = stream.next_herald(second, t0)
+                if room:
+                    trace.append((end, "both", "confirm"))
+                    room = len(trace) < trace_limit
+        elif room:
+            trace.append((end if end < total else total - 1, _SIDE_KEYS[first], "timeout"))
+            room = len(trace) < trace_limit
+        t0 = end + 1
+        if t0 >= total:
+            break
+        # Both sides reopen at t0; a side draws anew only if its herald is spent.
+        if first == 0 or consumed:
+            if left >= t0:
+                raise InvariantError(f"side 0 redrawn at {t0}, not after its herald {left}")
+            gap, left_true = next_left()
+            left = t0 + gap - 1
+        if first == 1 or consumed:
+            if right >= t0:
+                raise InvariantError(f"side 1 redrawn at {t0}, not after its herald {right}")
+            gap, right_true = next_right()
+            right = t0 + gap - 1
     return _sim_stats(
         config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
     )
@@ -595,20 +568,22 @@ def _run_literal(config: SimConfig) -> SimStats:
     """Event-driven run of the literal message protocol.
 
     Applies the :func:`receiver_step` rule inline on int-indexed state: per
-    side, the held bin (-1 while open), its truth and the next herald
-    cycle, plus a queue of in-flight ``(arrival, bin, true)`` announcements
-    addressed to that side.  Within a cycle the left side acts first.
+    side, the held bin (-1 while open), the next herald cycle and the mark of
+    the held bin (of the next herald while open), plus a queue of in-flight
+    ``(arrival, bin, true)`` announcements addressed to that side.  Within a
+    cycle the left side acts first.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
-    stream = _HeraldStream(config.seed, config.herald)
+    draws = [_herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)]
     heralds = [0, 0]
     true_pairs = false_pairs = one_sided = both_open = 0
     trace: list[tuple[int, str, str]] = []
 
     held = [-1, -1]
-    held_true = [True, True]
-    next_herald = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
+    (gap_left, true_left), (gap_right, true_right) = draws[0](), draws[1]()
+    next_herald = [gap_left - 1, gap_right - 1]
+    held_true = [true_left, true_right]
     inflight: tuple[deque[tuple[int, int, bool]], ...] = (deque(), deque())
     inbox_left, inbox_right = inflight
     open_now, open_since = True, 0
@@ -651,19 +626,19 @@ def _run_literal(config: SimConfig) -> SimStats:
                 if len(trace) < trace_limit:
                     trace.append((t, _SIDE_KEYS[side], event))
                 held[side] = -1
-                next_herald[side] = stream.next_herald(side, t + 1)
+                gap, held_true[side] = draws[side]()  # the side reopens at t + 1
+                next_herald[side] = t + gap
             else:
                 if msg is not None and len(trace) < trace_limit:
                     # An announcement landing on an open receiver carries no news.
                     trace.append((t, _SIDE_KEYS[side], "stale_ignored"))
                 if next_herald[side] == t:
-                    truth = stream.is_true(side, t)
+                    truth = held_true[side]
                     if t >= warmup:
                         heralds[side] += 1
                     if len(trace) < trace_limit:
                         trace.append((t, _SIDE_KEYS[side], "herald"))
                     held[side] = t
-                    held_true[side] = truth
                     next_herald[side] = _NEVER
                     inflight[1 - side].append((t + n, t, truth))
 

@@ -1,6 +1,7 @@
 """Receiver state machine, herald sampling and the two simulation engines."""
 
 import io
+import itertools
 import math
 import random
 import subprocess
@@ -37,7 +38,8 @@ from mpslink.protocol import (
     bsm_attempt_sample,
     receiver_step,
 )
-from mpslink.protocol import _NEVER, HeraldModel, _HeraldStream, _open_cycles, _sim_stats
+import mpslink.protocol as protocol
+from mpslink.protocol import _NEVER, HeraldModel, _herald_draws, _open_cycles, _sim_stats
 
 
 def _enumerated_side_probs(beta_qd, beta_ms, p_dc, variant):
@@ -205,6 +207,32 @@ class TestLiteralScenario:
         assert ev_l[0].bin == ev_r[0].bin == 3
 
 
+class _ReferenceStream:
+    """Herald cycles and kinds by call over the engines' per-side draws.
+
+    ``next_herald(side, open_from)`` gives the side's next herald at or
+    after its reopening cycle, and ``is_true(side, cycle)`` the kind of the
+    herald it gave last.  A side reopens only after that herald, and the
+    kind is asked only of it.
+    """
+
+    def __init__(self, config):
+        model = config.herald
+        self._draws = [_herald_draws(config.seed, model, side) for side in (0, 1)]
+        self._last = [(-1, None), (-1, None)]
+
+    def next_herald(self, side, open_from):
+        assert open_from > self._last[side][0], (side, open_from, self._last[side])
+        gap, mark = next(self._draws[side])
+        self._last[side] = (open_from + gap - 1, mark)
+        return open_from + gap - 1
+
+    def is_true(self, side, cycle):
+        herald, mark = self._last[side]
+        assert cycle == herald >= 0, (side, cycle, herald)
+        return mark
+
+
 def _reference_literal(config):
     """The literal protocol driven through :func:`receiver_step`, one event at a time.
 
@@ -212,7 +240,7 @@ def _reference_literal(config):
     inlines on ints in literal mode; the two must agree field for field.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    stream = _HeraldStream(config.seed, config.herald)
+    stream = _ReferenceStream(config)
     sides = tuple(Side)  # engine index 0 is Side.LEFT
     heralds = [0, 0]
     true_pairs = false_pairs = one_sided = both_open = 0
@@ -291,7 +319,83 @@ def _reference_literal(config):
     )
 
 
-def _random_small_config(rng):
+def _reference_omniscient(config):
+    """The omniscient epoch loop in readable form: pending heralds in a list.
+
+    ``des_run`` runs the same epochs in omniscient mode with the pending
+    heralds, their marks and the span clip in locals; the two must agree
+    field for field.
+    """
+    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    trace_limit = config.trace_limit
+    stream = _ReferenceStream(config)
+    sides = ("left", "right")
+    heralds = [0, 0]
+    true_pairs = false_pairs = both_open = 0
+    trace = []
+
+    pending = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
+    t0 = 0
+    while t0 < total:
+        t_first = min(pending)
+        if t_first >= total:
+            both_open += _open_cycles(t0, total - 1, warmup, total)
+            break
+        both_open += _open_cycles(t0, t_first, warmup, total)
+        if pending[0] == pending[1]:
+            bin = t_first
+            # Both kinds are drawn, as the pair needs both to be genuine.
+            true_left = stream.is_true(0, bin)
+            true_right = stream.is_true(1, bin)
+            for side in (0, 1):
+                if bin >= warmup:
+                    heralds[side] += 1
+                if len(trace) < trace_limit:
+                    trace.append((bin, sides[side], "herald"))
+            confirm = bin + n
+            if confirm < total:
+                if bin >= warmup:
+                    if true_left and true_right:
+                        true_pairs += 1
+                    else:
+                        false_pairs += 1
+                if len(trace) < trace_limit:
+                    trace.append((confirm, "both", "confirm"))
+            t0 = confirm + 1
+            if t0 >= total:
+                break
+            pending = [stream.next_herald(0, t0), stream.next_herald(1, t0)]
+        else:
+            first = 0 if pending[0] < pending[1] else 1
+            second = 1 - first
+            bin = pending[first]
+            if bin >= warmup:
+                heralds[first] += 1
+            if len(trace) < trace_limit:
+                trace.append((bin, sides[first], "herald"))
+            late = pending[second]
+            second_consumed = late <= bin + n
+            if second_consumed and late < total:
+                # The open side heralded into the closed window; both reopen
+                # together at the first side's deadline.
+                if late >= warmup:
+                    heralds[second] += 1
+                if len(trace) < trace_limit:
+                    trace.append((late, sides[second], "herald"))
+            if len(trace) < trace_limit:
+                trace.append((min(bin + n, total - 1), sides[first], "timeout"))
+            t0 = bin + n + 1
+            if t0 >= total:
+                break
+            pending[first] = stream.next_herald(first, t0)
+            if second_consumed:
+                pending[second] = stream.next_herald(second, t0)
+    return _sim_stats(
+        config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
+    )
+
+
+def _random_small_config(rng, mode=SimMode.LITERAL):
     n = rng.choice([1, 2, 3, 5, 8, 20])
     beta_qd = rng.choice([0.0, 1.0, rng.random(), rng.random()])
     beta_ms = rng.choice([1.0, rng.random(), rng.random() ** 2])
@@ -305,7 +409,7 @@ def _random_small_config(rng):
             seed=rng.randrange(1 << 30),
             p_dc=rng.choice([0.0, 0.0, 0.01, 0.2]),
             bsm_variant=rng.choice(list(BsmVariant)),
-            mode=SimMode.LITERAL,
+            mode=mode,
             trace_limit=rng.choice([0, 4, 100]),
         )
 
@@ -318,55 +422,28 @@ class TestLiteralEngineMatchesReceiverStep:
             assert des_run(config) == _reference_literal(config), config
 
 
+class TestOmniscientEngineMatchesReference:
+    def test_random_small_configs(self):
+        rng = random.Random(20132)
+        seen = set()
+        for _ in range(200):
+            config = _random_small_config(rng, SimMode.OMNISCIENT)
+            stats = des_run(config)
+            assert stats == _reference_omniscient(config), config
+            p = config.herald.p_any
+            seen |= {
+                ("n=1", config.n == 1),
+                ("p=0", p == 0.0),
+                ("p=1", p == 1.0),
+                ("dark counts", config.p_dc > 0.0 and stats.false_coincidences > 0),
+                ("trace cap", 0 < len(stats.trace) == config.trace_limit),
+                ("short run", config.total_cycles < 10 * config.n),
+                ("warm-up is the run", config.warmup_cycles == config.total_cycles),
+            }
+        assert {name for name, hit in seen if hit} == {name for name, _ in seen}
+
+
 class TestHeraldStream:
-    MODEL = herald_model(0.5, 0.5, 0.01, BsmVariant.SINGLET_ONLY)
-
-    def test_reopening_at_or_before_the_last_herald_is_a_bug(self):
-        stream = _HeraldStream(3, self.MODEL)
-        herald = stream.next_herald(0, 40)
-        stream.next_herald(1, 10)  # each side keeps its own pointer
-        herald = stream.next_herald(0, herald + 1)
-        with pytest.raises(
-            InvariantError, match=f"side 0 reopened at {herald}, not after its last herald {herald}$"
-        ):
-            stream.next_herald(0, herald)
-        with pytest.raises(InvariantError, match="not after its last herald"):
-            stream.next_herald(0, 39)
-
-    def test_kind_of_a_cycle_other_than_the_last_herald_is_a_bug(self):
-        stream = _HeraldStream(3, self.MODEL)
-        for cycle in (0, -1):
-            with pytest.raises(InvariantError, match="not its last herald -1$"):
-                stream.is_true(0, cycle)
-        herald = stream.next_herald(0, 0)
-        stream.is_true(0, herald)
-        with pytest.raises(InvariantError, match="not its last herald"):
-            stream.is_true(0, herald + 1)
-        with pytest.raises(InvariantError, match="not its last herald -1$"):
-            stream.is_true(1, herald)
-
-    def test_pointer_contract_survives_optimized_mode(self):
-        code = (
-            "from mpslink import InvariantError, HeraldModel\n"
-            "from mpslink.protocol import _HeraldStream\n"
-            "print('debug:', __debug__)\n"
-            "stream = _HeraldStream(3, HeraldModel(p_true=1.0, p_false=0.0))\n"
-            "stream.next_herald(1, 40)\n"
-            "try:\n"
-            "    stream.next_herald(1, 40)\n"
-            "except InvariantError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        assert done.stdout.splitlines() == [
-            "debug: False",
-            "raised: side 1 reopened at 40, not after its last herald 40",
-        ]
-
     BLOCK_CASES = {
         # About 10k heralds per side: five default blocks.
         "many_blocks": dict(
@@ -381,49 +458,61 @@ class TestHeraldStream:
     def test_block_size_does_not_change_the_run(self, case, monkeypatch):
         configs = [SimConfig(mode=mode, **self.BLOCK_CASES[case]) for mode in SimMode]
         expected = [des_run(config) for config in configs]
+        heralds = sum(stats.heralds_left + stats.heralds_right for stats in expected)
+        uniforms = protocol._uniforms
         for block in (1, 7):
-            monkeypatch.setattr(_HeraldStream, "_BLOCK", block)
+            sizes = []
+
+            def counted(bits):
+                drawn = uniforms(bits)
+                sizes.append(len(drawn))
+                return drawn
+
+            monkeypatch.setattr(protocol, "_BLOCK", block)
+            monkeypatch.setattr(protocol, "_uniforms", counted)
             assert [des_run(config) for config in configs] == expected, block
+            # The patched size took effect: every block has it, and every
+            # counted herald drew a gap and a mark.
+            assert set(sizes) == {block}
+            assert len(sizes) * block >= 2 * heralds
 
     @pytest.mark.parametrize("p_true, p_false", [(0.008, 0.002), (0.2, 0.1)])
     def test_gaps_and_marks_follow_the_bernoulli_law(self, p_true, p_false):
         model = HeraldModel(p_true=p_true, p_false=p_false)
         p, fraction, count = model.p_any, model.true_fraction, 100_000
-        stream = _HeraldStream(5, model)
-        herald, gaps, trues = -1, [], 0
-        for _ in range(count):
-            cycle = stream.next_herald(0, herald + 1)
-            gaps.append(cycle - herald)
-            trues += stream.is_true(0, cycle)
-            herald = cycle
+        gaps, marks = zip(*itertools.islice(_herald_draws(5, model, 0), count))
         assert min(gaps) >= 1
         gap_se = math.sqrt((1.0 - p) / p**2 / count)
         assert abs(sum(gaps) / count - 1.0 / p) <= 4.0 * gap_se
         mark_se = math.sqrt(fraction * (1.0 - fraction) / count)
-        assert abs(trues / count - fraction) <= 4.0 * mark_se
+        assert abs(sum(marks) / count - fraction) <= 4.0 * mark_se
 
     def test_gaps_are_the_scalar_inversion_of_raw_philox_words(self):
         """Each wait is ``max(1, ceil(log1p(-u) / log1p(-p)))`` of a uniform
         built from one raw 64-bit Philox word, the stream numpy keeps fixed
-        across releases; the loop here is the scalar reference."""
+        across releases, and each mark is ``u < true_fraction`` of the same
+        word of the side's mark stream; the loop here is the scalar reference."""
         model = HeraldModel(p_true=0.2, p_false=0.1)
         log_fail = math.log1p(-model.p_any)
-        words = np.random.Philox(np.random.SeedSequence([5, 1, 0])).random_raw(3000).tolist()
-        stream = _HeraldStream(5, model)
-        herald = -1
-        for word in words:  # spans two default blocks
-            expected = herald + max(1, math.ceil(math.log1p(-(word >> 11) / 2**53) / log_fail))
-            herald = stream.next_herald(1, herald + 1)
-            assert herald == expected
+        count = 3000
+        assert 1 < count / protocol._BLOCK < 2  # spans two blocks
+        gap_words, mark_words = (
+            np.random.Philox(np.random.SeedSequence([5, 1, purpose])).random_raw(count).tolist()
+            for purpose in (0, 1)
+        )
+        draws = _herald_draws(5, model, 1)
+        for gap_word, mark_word in zip(gap_words, mark_words):
+            gap = max(1, math.ceil(math.log1p(-((gap_word >> 11) * 2**-53)) / log_fail))
+            mark = ((mark_word >> 11) * 2**-53) < model.true_fraction
+            assert next(draws) == (gap, mark)
 
     def test_certain_and_impossible_heralds(self):
-        never = _HeraldStream(3, HeraldModel(p_true=0.0, p_false=0.0))
-        always = _HeraldStream(3, HeraldModel(p_true=1.0, p_false=0.0))
-        for open_from in (0, 1, 17, 5000):
-            for side in (0, 1):
-                assert never.next_herald(side, open_from) == _NEVER
-                assert always.next_herald(side, open_from) == open_from
-                assert always.is_true(side, open_from)
+        never = HeraldModel(p_true=0.0, p_false=0.0)
+        always = HeraldModel(p_true=1.0, p_false=0.0)
+        for side in (0, 1):
+            for open_from, (gap, _) in zip((0, 1, 17, 5000), _herald_draws(3, never, side)):
+                assert open_from + gap - 1 >= _NEVER
+            assert list(itertools.islice(_herald_draws(3, always, side), 5)) == [(1, True)] * 5
 
 
 class TestSimConfig:
