@@ -497,8 +497,9 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
-    next_left = _herald_draws(config.seed, config.herald, 0).__next__
-    next_right = _herald_draws(config.seed, config.herald, 1).__next__
+    next_left, next_right = (
+        _herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)
+    )
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []

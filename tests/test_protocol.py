@@ -217,15 +217,14 @@ class _ReferenceStream:
     """
 
     def __init__(self, config):
-        model = config.herald
-        self._draws = [_herald_draws(config.seed, model, side) for side in (0, 1)]
+        self._draws = [_herald_draws(config.seed, config.herald, side) for side in (0, 1)]
         self._last = [(-1, None), (-1, None)]
 
     def next_herald(self, side, open_from):
         assert open_from > self._last[side][0], (side, open_from, self._last[side])
         gap, mark = next(self._draws[side])
         self._last[side] = (open_from + gap - 1, mark)
-        return open_from + gap - 1
+        return self._last[side][0]
 
     def is_true(self, side, cycle):
         herald, mark = self._last[side]
@@ -490,8 +489,9 @@ class TestHeraldStream:
     def test_gaps_are_the_scalar_inversion_of_raw_philox_words(self):
         """Each wait is ``max(1, ceil(log1p(-u) / log1p(-p)))`` of a uniform
         built from one raw 64-bit Philox word, the stream numpy keeps fixed
-        across releases, and each mark is ``u < true_fraction`` of the same
-        word of the side's mark stream; the loop here is the scalar reference."""
+        across releases, and each mark is ``u < true_fraction`` of the word at
+        the same position in the side's mark stream; the loop here is the
+        scalar reference."""
         model = HeraldModel(p_true=0.2, p_false=0.1)
         log_fail = math.log1p(-model.p_any)
         count = 3000
