@@ -93,13 +93,13 @@ class RunConfig:
         return BsmVariant.from_key(self.bsm_variant)
 
     def encoding_variant(self) -> EncodingVariant:
-        return EncodingVariant.from_key(self.encoding)
+        return EncodingVariant(self.encoding)
 
     def midpoint_variant(self) -> MidpointVariant:
-        return MidpointVariant.from_key(self.midpoint)
+        return MidpointVariant(self.midpoint)
 
     def sim_mode(self) -> SimMode:
-        return SimMode.from_key(self.mode)
+        return SimMode(self.mode)
 
     def sim_config(self, total_cycles: int, seed: int, length_km: float | None = None) -> SimConfig:
         """DES inputs of this config, at ``length_km`` or the configured length."""

@@ -24,7 +24,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Largest accepted max |pi T - pi| of a stationary vector.
 _RESIDUAL_TOL = 1e-12
@@ -42,16 +41,27 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """Immutable chain: row-stochastic sparse transitions, labelled on demand."""
+    """Immutable chain: row-stochastic transitions as CSR arrays, labelled on demand.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i+1]]`` at columns
+    ``indices[indptr[i]:indptr[i+1]]``; entries may be explicit zeros.
+    """
 
     n: int
     p: float
     kind: str  # "full" or "collapsed"
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     def num_states(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    def step(self, pi: np.ndarray) -> np.ndarray:
+        """One step of the chain: the row vector ``pi @ T``."""
+        weights = np.repeat(pi, np.diff(self.indptr)) * self.data
+        return np.bincount(self.indices, weights, minlength=self.num_states)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -84,13 +94,12 @@ def full_chain(n: int, p: float) -> Chain:
     _check_p(p)
     q = 1.0 - p
     size, nnz = 3 * n + 1, 5 * n + 2
-    itype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    counts = np.ones(size, dtype=itype)
+    counts = np.ones(size, dtype=np.intp)
     counts[0] = 4
     counts[2 : n + 1] = counts[n + 2 : 2 * n + 1] = 2
-    indptr = np.zeros(size + 1, dtype=itype)
+    indptr = np.zeros(size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
-    indices, data = np.empty(nnz, dtype=itype), np.empty(nnz)
+    indices, data = np.empty(nnz, dtype=np.intp), np.empty(nnz)
     indices[:4], data[:4] = (0, n, 2 * n, 3 * n), (q * q, p * q, p * q, p * p)
     i = np.arange(2, n + 1)
     for start, offset in ((4, 0), (2 * n + 3, n)):  # (i,0) rows, then (0,i) rows
@@ -100,9 +109,7 @@ def full_chain(n: int, p: float) -> Chain:
         data[start + 1 : start + 2 * n - 1].reshape(-1, 2)[:] = (q, p)
     indices[4 * n + 2], indices[4 * n + 3 :] = 0, 2 * n + i - 1  # (i,i) -> (i-1,i-1)
     data[4 * n + 2 :] = 1.0
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(size, size))
-    matrix.eliminate_zeros()
-    return Chain(n=n, p=p, kind="full", matrix=matrix)
+    return Chain(n=n, p=p, kind="full", indptr=indptr, indices=indices, data=data)
 
 
 def collapsed_chain(n: int, p: float) -> Chain:
@@ -113,9 +120,7 @@ def collapsed_chain(n: int, p: float) -> Chain:
     indices = np.concatenate(([0, n], np.arange(n)))  # [i] -> [i-1]
     data = np.ones(n + 2)
     data[:2] = (1.0 - p) ** 2, 2.0 * p - p * p
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-    matrix.eliminate_zeros()
-    return Chain(n=n, p=p, kind="collapsed", matrix=matrix)
+    return Chain(n=n, p=p, kind="collapsed", indptr=indptr, indices=indices, data=data)
 
 
 def stationary(chain: Chain) -> np.ndarray:
@@ -137,7 +142,7 @@ def stationary(chain: Chain) -> np.ndarray:
         both = np.cumsum(np.concatenate(([p * p], 2.0 * p * side[:0:-1])))[::-1]
         pi = np.concatenate(([1.0], side, side, both))
     pi /= pi.sum()
-    residual = np.max(np.abs(pi @ chain.matrix - pi))
+    residual = np.max(np.abs(chain.step(pi) - pi))
     if residual > _RESIDUAL_TOL:
         raise ArithmeticError(f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return pi
@@ -161,11 +166,7 @@ def collapse(full_distribution: np.ndarray, n: int) -> np.ndarray:
     vec = np.asarray(full_distribution, dtype=float)
     if vec.shape != (3 * n + 1,):
         raise ValueError(f"expected a vector of length {3 * n + 1}, got shape {vec.shape}")
-    out = np.empty(n + 1)
-    out[0] = vec[0]
-    for i in range(1, n + 1):
-        out[i] = vec[i] + vec[n + i] + vec[2 * n + i]
-    return out
+    return np.concatenate((vec[:1], vec[1:].reshape(3, n).sum(axis=0)))
 
 
 def rate_from_stationary(pi00: float, beta_2: float, tau_c_s: float) -> float:

@@ -92,13 +92,6 @@ class EncodingVariant(Enum):
     POLARIZATION = "polarization"
     TIME_BIN_CONVERTED = "time_bin_converted"
 
-    @classmethod
-    def from_key(cls, key: str) -> "EncodingVariant":
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown encoding {key!r}")
-
 
 class MidpointVariant(Enum):
     """Photon source placed at the channel midpoint.
@@ -110,13 +103,6 @@ class MidpointVariant(Enum):
 
     ENTANGLED_PAIR_SOURCE = "entangled_pair_source"
     TWO_SINGLE_PHOTON_SOURCES = "two_single_photon_sources"
-
-    @classmethod
-    def from_key(cls, key: str) -> "MidpointVariant":
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown midpoint {key!r}")
 
 
 @dataclass(frozen=True)

@@ -255,13 +255,6 @@ class SimMode(Enum):
     LITERAL = "literal"
     OMNISCIENT = "omniscient"
 
-    @classmethod
-    def from_key(cls, key: str) -> "SimMode":
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown mode {key!r}")
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -1,6 +1,9 @@
 """Config parsing, CSV/JSON emission and the five subcommands."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,28 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 1_000_000
         assert payload["abs_difference"] <= 1e-12
+
+    def test_runs_without_scipy(self):
+        """A fresh interpreter in which every scipy import fails still
+        imports mpslink, loads no scipy module and runs markov and simulate."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import mpslink\n"
+            "from mpslink.cli import main\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['markov', '--n', '50', '--p', '0.1', '--full']),\n"
+            "             main(['simulate', '--cycles', '20000'])]\n"
+            "print(loaded, codes)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        # 'scipy' is only the blocking entry the script set itself
+        assert done.stdout == "['scipy'] [0, 0]\n"
 
     def test_simulate_is_byte_deterministic(self, capsys):
         argv = ["simulate", "--seed", "1", "--cycles", "50000", "--length-km", "10"]

@@ -21,6 +21,27 @@ from mpslink import (
 P_GRID = (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)
 
 
+def dense(chain):
+    """The chain's transition matrix as a dense array, summed from its CSR arrays."""
+    rows = np.repeat(np.arange(chain.num_states), np.diff(chain.indptr))
+    matrix = np.zeros((chain.num_states, chain.num_states))
+    np.add.at(matrix, (rows, chain.indices), chain.data)
+    return matrix
+
+
+def assert_csr_structure(chain, nnz):
+    """The CSR arrays are well formed: ``nnz`` stored entries, rows in order,
+    each row's columns strictly increasing and inside the state space."""
+    indptr, indices = chain.indptr, chain.indices
+    assert len(chain.data) == len(indices) == nnz
+    assert indptr[0] == 0 and indptr[-1] == nnz
+    assert np.all(np.diff(indptr) >= 0)
+    for row in range(chain.num_states):
+        cols = indices[indptr[row] : indptr[row + 1]]
+        assert np.all((0 <= cols) & (cols < chain.num_states))
+        assert np.all(np.diff(cols) > 0)
+
+
 def stationary_power(chain, tol=1e-13, max_iter=1_000_000):
     """Independent oracle: power iteration on the half-lazy chain ``(I + T) / 2``.
 
@@ -29,11 +50,10 @@ def stationary_power(chain, tol=1e-13, max_iter=1_000_000):
     periodic end.
     """
     pi = np.full(chain.num_states, 1.0 / chain.num_states)
-    matrix = chain.matrix
     for _ in range(max_iter):
-        nxt = 0.5 * (pi + pi @ matrix)
+        nxt = 0.5 * (pi + chain.step(pi))
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt @ matrix - nxt)) <= tol:
+        if np.max(np.abs(chain.step(nxt) - nxt)) <= tol:
             return nxt
         pi = nxt
     raise ArithmeticError(f"power iteration did not reach residual {tol:.1e}")
@@ -83,7 +103,7 @@ class TestChainConstruction:
 
     def test_n1_half_row(self):
         chain = full_chain(1, 0.5)
-        row = chain.matrix.toarray()[0]
+        row = dense(chain)[0]
         by_label = dict(zip(chain.labels, row))
         assert by_label == {"(0,0)": 0.25, "(1,0)": 0.25, "(0,1)": 0.25, "(1,1)": 0.25}
 
@@ -102,19 +122,19 @@ class TestChainConstruction:
             [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # (1,1)
             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],  # (2,2)
         ])
-        assert np.array_equal(chain.matrix.toarray(), expected)
-        assert chain.matrix.nnz == np.count_nonzero(expected)
+        assert np.array_equal(dense(chain), expected)
+        assert len(chain.data) == np.count_nonzero(expected)
         assert chain.labels.index("(2,2)") == 6
 
     def test_rows_stochastic(self):
         for n in (1, 3, 10, 40):
             for p in P_GRID:
-                sums = np.asarray(full_chain(n, p).matrix.sum(axis=1)).ravel()
+                sums = dense(full_chain(n, p)).sum(axis=1)
                 assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_p_zero_open_state_absorbing(self):
         chain = full_chain(3, 0.0)
-        row = chain.matrix.toarray()[0]
+        row = dense(chain)[0]
         assert row[0] == 1.0
         assert row[1:].sum() == 0.0
 
@@ -130,21 +150,27 @@ class TestChainConstruction:
                     build(bad_n, 0.5)
 
     def test_builders_match_transition_rule_loop(self):
-        """The vectorised builders equal the rule applied one state at a time."""
+        """The vectorised builders equal the rule applied one state at a time,
+        and store every entry the rule writes (zeros too at p in {0, 1})."""
         for n in (1, 2, 3, 7, 20):
             for p in (0.0, *P_GRID, 1.0):
                 full, small = transition_rule_matrices(n, p)
-                for chain, expected in ((full_chain(n, p), full), (collapsed_chain(n, p), small)):
-                    assert np.array_equal(chain.matrix.toarray(), expected)
-                    assert chain.matrix.nnz == np.count_nonzero(expected)
+                for chain, expected, nnz in (
+                    (full_chain(n, p), full, 5 * n + 2),
+                    (collapsed_chain(n, p), small, n + 2),
+                ):
+                    assert np.array_equal(dense(chain), expected)
+                    assert_csr_structure(chain, nnz)
+                    pi = np.linspace(1.0, 2.0, chain.num_states)
+                    assert np.allclose(chain.step(pi), pi @ expected, rtol=1e-14, atol=0.0)
 
     def test_transition_level_collapse(self):
         """Summing full-chain rows over each waiting class reproduces the
         collapsed chain exactly, for every source state (strong lumping)."""
         for n in (2, 5):
             for p in (0.2, 0.5, 0.77):
-                full = full_chain(n, p).matrix.toarray()
-                small = collapsed_chain(n, p).matrix.toarray()
+                full = dense(full_chain(n, p))
+                small = dense(collapsed_chain(n, p))
 
                 def row_class(index):
                     if index == 0:
@@ -182,7 +208,7 @@ class TestStationary:
             for p in (0.05, 0.5, 0.95):
                 chain = full_chain(n, p)
                 pi = stationary(chain)
-                residual = np.max(np.abs(pi @ chain.matrix - pi))
+                residual = np.max(np.abs(chain.step(pi) - pi))
                 assert residual <= 1e-12
 
     def test_sizes_where_dense_lu_failed(self):
@@ -196,7 +222,7 @@ class TestStationary:
         for p in (0.01, 0.3):
             chain = full_chain(100_000, p)
             pi = stationary(chain)
-            assert np.max(np.abs(pi @ chain.matrix - pi)) <= 1e-12
+            assert np.max(np.abs(chain.step(pi) - pi)) <= 1e-12
             assert abs(pi[0] - stationary_open_prob(100_000, p)) <= 1e-12
 
     def test_power_iteration_agrees(self):
@@ -296,7 +322,7 @@ class TestRandomWalkFlux:
         p**2 * pi(0,0) within 3 standard errors (block estimate)."""
         n, p, steps = 4, 0.3, 1_000_000
         chain = full_chain(n, p)
-        matrix = chain.matrix.toarray()
+        matrix = dense(chain)
         cumulative = np.cumsum(matrix, axis=1)
         target = chain.labels.index(f"({n},{n})")
 

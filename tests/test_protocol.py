@@ -1093,5 +1093,5 @@ GOLDEN_STATS = {
 def test_golden_stats_pinned(case, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # short runs warn by design
-        config = SimConfig(mode=SimMode.from_key(mode), **GOLDEN_CASES[case])
+        config = SimConfig(mode=SimMode(mode), **GOLDEN_CASES[case])
     assert des_run(config) == GOLDEN_STATS[case, mode]
