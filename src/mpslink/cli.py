@@ -13,8 +13,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import Literal, get_args, get_type_hints
 
 from .markov import full_chain, stationary, stationary_as_dict, stationary_open_prob
 from .optics import (
@@ -36,8 +38,8 @@ from .rng import derive_seed
 
 CONFIG_ENV_VAR = "MPSLINK_CONFIG"
 
-CSV_HEADER = "distance_km,tau_t_us,alpha1_db,alpha2_db,g1_hz,g2_hz,g2_star_hz,ratio"
-CSV_SIM_HEADER = CSV_HEADER + ",sim_g2_hz,sim_infidelity"
+CSV_HEADER = ",".join(RateReport.FIELDS)
+CSV_SIM_HEADER = ",".join(RateReport.FIELDS + RateReport.SIM_FIELDS)
 
 # Longest accepted distance sweep; a typo in ``step`` must fail, not exhaust memory.
 _MAX_SWEEP_POINTS = 100_000
@@ -49,7 +51,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated union of hardware, timing, sweep and output settings."""
+    """Validated union of hardware, timing, sweep and output settings.
+
+    The fields are the config keys: each type says how a value is parsed,
+    and an Enum or Literal type lists the accepted choices.
+    """
 
     alpha_qd_db: float = 10.0
     alpha_bsm_db: float = 5.0
@@ -60,15 +66,15 @@ class RunConfig:
     delay_us_per_km: float = 5.0
     dark_count_rate_hz: float = 100.0
     window_ns: float = 10.0
-    bsm_variant: str = "singlet_plus_triplet"
-    encoding: str = "polarization"
-    midpoint: str = "entangled_pair_source"
+    bsm_variant: BsmVariant = BsmVariant.SINGLET_PLUS_TRIPLET
+    encoding: EncodingVariant = EncodingVariant.POLARIZATION
+    midpoint: MidpointVariant = MidpointVariant.ENTANGLED_PAIR_SOURCE
     tau_c_ns: float = 500.0
     sweep: str = "10:100:5"
     cycles: int = 1_000_000
     seed: int = 1
-    mode: str = "omniscient"
-    format: str = "csv"
+    mode: SimMode = SimMode.OMNISCIENT
+    format: Literal["csv", "json"] = "csv"
     output: str = "-"
 
     def budget(self) -> LossBudget:
@@ -89,18 +95,6 @@ class RunConfig:
     def detector(self) -> DetectorModel:
         return DetectorModel(dark_count_rate_hz=self.dark_count_rate_hz, window_ns=self.window_ns)
 
-    def bsm(self) -> BsmVariant:
-        return BsmVariant.from_key(self.bsm_variant)
-
-    def encoding_variant(self) -> EncodingVariant:
-        return EncodingVariant(self.encoding)
-
-    def midpoint_variant(self) -> MidpointVariant:
-        return MidpointVariant(self.midpoint)
-
-    def sim_mode(self) -> SimMode:
-        return SimMode(self.mode)
-
     def sim_config(self, total_cycles: int, seed: int, length_km: float | None = None) -> SimConfig:
         """DES inputs of this config, at ``length_km`` or the configured length."""
         return SimConfig.from_hardware(
@@ -109,11 +103,11 @@ class RunConfig:
             total_cycles=total_cycles,
             tau_c_ns=self.tau_c_ns,
             seed=seed,
-            encoding=self.encoding_variant(),
-            midpoint=self.midpoint_variant(),
+            encoding=self.encoding,
+            midpoint=self.midpoint,
             detector=self.detector(),
-            bsm_variant=self.bsm(),
-            mode=self.sim_mode(),
+            bsm_variant=self.bsm_variant,
+            mode=self.mode,
         )
 
     def sweep_distances(self) -> list[float]:
@@ -121,51 +115,28 @@ class RunConfig:
 
     def to_config_text(self) -> str:
         """Render back to the key=value format; parsing it reproduces this config."""
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        lines = [f"{k}={v.value if isinstance(v, Enum) else v}" for k, v in values.items()]
         return "\n".join(lines) + "\n"
 
 
-_FLOAT_KEYS = {
-    "alpha_qd_db",
-    "alpha_bsm_db",
-    "fiber_db_per_km",
-    "source_penalty_db",
-    "bsm_split_fraction",
-    "length_km",
-    "delay_us_per_km",
-    "dark_count_rate_hz",
-    "window_ns",
-    "tau_c_ns",
-}
-_INT_KEYS = {"cycles", "seed"}
-_CHOICE_KEYS = {
-    "bsm_variant": tuple(v.key for v in BsmVariant),
-    "encoding": tuple(v.value for v in EncodingVariant),
-    "midpoint": tuple(v.value for v in MidpointVariant),
-    "mode": tuple(v.value for v in SimMode),
-    "format": ("csv", "json"),
-}
-_STR_KEYS = {"sweep", "output"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | set(_CHOICE_KEYS) | _STR_KEYS
+# Config key -> type, read from the RunConfig field annotations.
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def _parse_value(key: str, raw: str, where: str) -> object:
-    if key in _FLOAT_KEYS:
+    kind = _KEY_TYPES[key]
+    if kind in (float, int):
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{where}: value for {key!r} is not a number: {raw!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: value for {key!r} is not an integer: {raw!r}") from None
-    if key in _CHOICE_KEYS:
-        if raw not in _CHOICE_KEYS[key]:
-            choices = ", ".join(_CHOICE_KEYS[key])
-            raise ConfigError(f"{where}: value for {key!r} must be one of: {choices}")
-        return raw
-    return raw
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{where}: value for {key!r} is not {noun}: {raw!r}") from None
+    is_enum = isinstance(kind, type) and issubclass(kind, Enum)
+    choices = [member.value for member in kind] if is_enum else list(get_args(kind))
+    if choices and raw not in choices:
+        raise ConfigError(f"{where}: value for {key!r} must be one of: {', '.join(choices)}")
+    return kind(raw) if is_enum else raw
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -202,9 +173,11 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
             "bsm_split_fraction",
             lambda: LossBudget(0.0, 0.0, bsm_split_fraction=config.bsm_split_fraction),
         ),
-        ("length_km", lambda: config.geometry()),
-        ("window_ns", lambda: config.detector()),
-        ("tau_c_ns", lambda: TimingParams(config.tau_c_ns, config.geometry().tau_t_us)),
+        ("length_km", lambda: ChannelGeometry(config.length_km)),
+        ("delay_us_per_km", lambda: ChannelGeometry(1.0, config.delay_us_per_km)),
+        ("dark_count_rate_hz", lambda: DetectorModel(config.dark_count_rate_hz, 0.0)),
+        ("window_ns", config.detector),
+        ("tau_c_ns", lambda: TimingParams(config.tau_c_ns, 1.0)),
         ("sweep", config.sweep_distances),
     )
     for key, check in checks:
@@ -234,26 +207,25 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> RunCo
         if "=" not in line:
             raise ConfigError(f"line {number}: expected key=value, got {raw_line.strip()!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {number}: unknown key {key!r}")
         settings[key] = _parse_value(key, raw_value, f"line {number}")
         lines[key] = f"line {number} ({key})"
     for key, value in (overrides or {}).items():
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"flag --{key.replace('_', '-')}: unknown key {key!r}")
-        settings[key] = _parse_value(key, str(value), f"flag --{key.replace('_', '-')}")
-        lines[key] = f"flag --{key.replace('_', '-')}"
+        flag = f"flag --{key.replace('_', '-')}"
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"{flag}: unknown key {key!r}")
+        settings[key] = _parse_value(key, str(value), flag)
+        lines[key] = flag
     return _validate(settings, lines)
 
 
 def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateReport:
     geom = config.geometry(length_km)
     budget = config.budget()
-    encoding = config.encoding_variant()
-    midpoint = config.midpoint_variant()
 
-    alpha1 = mpi_loss(budget, geom, encoding)
-    side = mps_side_loss(budget, geom, encoding, midpoint)
+    alpha1 = mpi_loss(budget, geom, config.encoding)
+    side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
     timing = TimingParams(tau_c_ns=config.tau_c_ns, tau_t_us=geom.tau_t_us)
 
     g1 = mpi_rate(db_to_prob(alpha1), geom.tau_t_s)
@@ -344,14 +316,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     overrides = {
         key: value
         for key, value in vars(args).items()
-        if key in _ALL_KEYS and value is not None
+        if key in _KEY_TYPES and value is not None
     }
     return parse_config(text, overrides)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key=value lines)")
-    for key in sorted(_ALL_KEYS):
+    for key in sorted(_KEY_TYPES):
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
@@ -387,12 +359,13 @@ def _cmd_markov(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
+    if args.mc_cycles < 0:
+        raise ConfigError(f"flag --mc-cycles: must be >= 0, got {args.mc_cycles}")
     config = _load_config(args)
     geom = config.geometry()
     budget = config.budget()
-    encoding = config.encoding_variant()
-    side = mps_side_loss(budget, geom, encoding, config.midpoint_variant())
-    beta_1 = db_to_prob(mpi_loss(budget, geom, encoding))
+    side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
+    beta_1 = db_to_prob(mpi_loss(budget, geom, config.encoding))
     p_dc = config.detector().p_dc
     payload = {
         "p_dc": p_dc,
@@ -421,10 +394,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     distances = _parse_sweep("10:100:5")
     written = []
     for profile, (alpha_qd, alpha_bsm) in FIG4_PROFILES.items():
-        profile_config = parse_config(
-            config.to_config_text(),
-            {"alpha_qd_db": alpha_qd, "alpha_bsm_db": alpha_bsm},
-        )
+        profile_config = replace(config, alpha_qd_db=alpha_qd, alpha_bsm_db=alpha_bsm)
         # One table per profile: its rows carry both schemes (g1 for MPI, g2 for MPS).
         path = outdir / f"fig4_{profile}.csv"
         emit(sweep_rates(profile_config, distances), "csv", path)

@@ -61,25 +61,18 @@ class BsmVariant(Enum):
     50%.  Extra detectors also double the dark-count exposure.
     """
 
-    SINGLET_ONLY = ("singlet_only", 0.25, 2)
-    SINGLET_PLUS_TRIPLET = ("singlet_plus_triplet", 0.5, 4)
+    SINGLET_ONLY = "singlet_only"
+    SINGLET_PLUS_TRIPLET = "singlet_plus_triplet"
 
-    def __init__(self, key: str, success_fraction: float, detector_count: int):
-        self.key = key
-        self.success_fraction = success_fraction
-        self.detector_count = detector_count
+    @property
+    def success_fraction(self) -> float:
+        """Share of photon pairs the measurement identifies."""
+        return 0.5 if self is BsmVariant.SINGLET_PLUS_TRIPLET else 0.25
 
     @property
     def dark_count_factor(self) -> int:
         """Multiplier on dark-count acceptance relative to the two-detector case."""
         return 2 if self is BsmVariant.SINGLET_PLUS_TRIPLET else 1
-
-    @classmethod
-    def from_key(cls, key: str) -> "BsmVariant":
-        for member in cls:
-            if member.key == key:
-                return member
-        raise ValueError(f"unknown bsm_variant {key!r}")
 
 
 class EncodingVariant(Enum):
@@ -141,7 +134,8 @@ class ChannelGeometry:
     def __post_init__(self) -> None:
         if not math.isfinite(self.length_km) or self.length_km <= 0:
             raise ValueError(f"length_km must be positive, got {self.length_km!r}")
-        _require_non_negative(self.delay_us_per_km, "delay_us_per_km")
+        if not math.isfinite(self.delay_us_per_km) or self.delay_us_per_km <= 0:
+            raise ValueError(f"delay_us_per_km must be positive, got {self.delay_us_per_km!r}")
 
     @property
     def tau_t_us(self) -> float:
@@ -164,7 +158,10 @@ class DetectorModel:
         _require_non_negative(self.dark_count_rate_hz, "dark_count_rate_hz")
         _require_non_negative(self.window_ns, "window_ns")
         if not self.p_dc < 1.0:
-            raise ValueError("dark-count probability per window must be < 1")
+            raise ValueError(
+                "dark-count probability per window, dark_count_rate_hz * window_ns * 1e-9, "
+                f"must be < 1, got {self.p_dc!r}"
+            )
 
     @property
     def p_dc(self) -> float:

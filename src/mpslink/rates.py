@@ -8,7 +8,7 @@ second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 
@@ -168,7 +168,4 @@ class RateReport:
         return self.sim_g2_hz is not None
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.FIELDS}
-        for name in self.SIM_FIELDS:
-            out[name] = getattr(self, name)
-        return out
+        return asdict(self)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from mpslink import RateReport
+from mpslink import BsmVariant, RateReport, SimMode
 from mpslink.cli import (
     CSV_HEADER,
+    CSV_SIM_HEADER,
     ConfigError,
     RunConfig,
     emit,
@@ -18,6 +19,15 @@ from mpslink.cli import (
     sweep_rates,
 )
 
+# Accepted values of each choice key, in the order error messages list them.
+CHOICES = {
+    "bsm_variant": ("singlet_only", "singlet_plus_triplet"),
+    "encoding": ("polarization", "time_bin_converted"),
+    "midpoint": ("entangled_pair_source", "two_single_photon_sources"),
+    "mode": ("literal", "omniscient"),
+    "format": ("csv", "json"),
+}
+
 
 class TestParseConfig:
     def test_empty_gives_defaults(self):
@@ -25,8 +35,8 @@ class TestParseConfig:
         assert config == RunConfig()
         assert config.fiber_db_per_km == 0.2
         assert config.delay_us_per_km == 5.0
-        assert config.bsm_variant == "singlet_plus_triplet"
-        assert config.mode == "omniscient"
+        assert config.bsm_variant is BsmVariant.SINGLET_PLUS_TRIPLET
+        assert config.mode is SimMode.OMNISCIENT
 
     def test_square_profile_keys(self):
         config = parse_config("alpha_qd_db=10\nalpha_bsm_db=5")
@@ -45,12 +55,39 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 1.*not a number"):
             parse_config("alpha_qd_db=ten")
 
-    def test_invariant_violation_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 1 \(alpha_qd_db\)"):
-            parse_config("alpha_qd_db=-1")
+    @pytest.mark.parametrize(
+        ("text", "overrides", "blame"),
+        [
+            pytest.param("alpha_qd_db=-1", None, r"line 1 \(alpha_qd_db\)", id="alpha_qd_db"),
+            pytest.param(
+                "", {"delay_us_per_km": "-1"}, r"^flag --delay-us-per-km: delay_us_per_km ",
+                id="negative-delay",
+            ),
+            pytest.param(
+                "length_km=10\ndelay_us_per_km=nan", None,
+                r"^line 2 \(delay_us_per_km\): delay_us_per_km ", id="nan-delay",
+            ),
+            pytest.param(
+                "delay_us_per_km=0", None,
+                r"^line 1 \(delay_us_per_km\): delay_us_per_km must be positive", id="zero-delay",
+            ),
+            pytest.param(
+                "", {"dark_count_rate_hz": "-1"}, r"^flag --dark-count-rate-hz: dark_count_rate_hz ",
+                id="negative-dark-count-rate",
+            ),
+            pytest.param(
+                "dark_count_rate_hz=1e9\nwindow_ns=10", None,
+                r"^line 2 \(window_ns\): .*dark_count_rate_hz \* window_ns \* 1e-9, must be < 1",
+                id="dark-count-probability",
+            ),
+        ],
+    )
+    def test_invariant_violation_names_key_and_line(self, text, overrides, blame):
+        with pytest.raises(ConfigError, match=blame):
+            parse_config(text, overrides)
 
     def test_bad_choice_lists_options(self):
-        with pytest.raises(ConfigError, match="must be one of"):
+        with pytest.raises(ConfigError, match="must be one of: literal, omniscient$"):
             parse_config("mode=psychic")
 
     def test_missing_equals_rejected(self):
@@ -65,9 +102,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"flag --length-km"):
             parse_config("", {"length_km": "-5"})
 
-    def test_round_trip_is_lossless(self):
-        config = parse_config("alpha_qd_db=12.5\nlength_km=33\nseed=9\nmode=literal")
-        assert parse_config(config.to_config_text()) == config
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param("alpha_qd_db=12.5\nlength_km=33\nseed=9\nmode=literal", id="mixed")]
+        + [f"{key}={value}" for key, values in CHOICES.items() for value in values],
+    )
+    def test_round_trip_is_lossless(self, text):
+        config = parse_config(text)
+        rendered = config.to_config_text()
+        assert parse_config(rendered) == config
+        # Choice keys render as the key string the parser accepts.
+        for line in text.splitlines():
+            if line.split("=")[0] in CHOICES:
+                assert line in rendered.splitlines()
 
     def test_sweep_expansion(self):
         assert parse_config("sweep=10:20:5").sweep_distances() == [10.0, 15.0, 20.0]
@@ -112,6 +159,15 @@ def _report(distance=50.0, sim=False):
 
 
 class TestEmit:
+    def test_column_contract_is_pinned(self):
+        # The headers are derived from RateReport; these literals are the README contract.
+        assert CSV_HEADER == "distance_km,tau_t_us,alpha1_db,alpha2_db,g1_hz,g2_hz,g2_star_hz,ratio"
+        assert CSV_SIM_HEADER == (
+            "distance_km,tau_t_us,alpha1_db,alpha2_db,g1_hz,g2_hz,g2_star_hz,ratio,"
+            "sim_g2_hz,sim_infidelity"
+        )
+        assert list(_report(sim=True).to_dict()) == CSV_SIM_HEADER.split(",")
+
     def test_single_report_csv(self, tmp_path):
         path = tmp_path / "out.csv"
         emit([_report()], "csv", path)
@@ -245,6 +301,13 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         for key in ("mps_infidelity", "mpi_infidelity", "mc_infidelity", "mc_pairs"):
             assert key in payload
+
+    def test_negative_mc_cycles_names_flag(self, capsys):
+        assert main(["fidelity", "--mc-cycles", "-5"]) == 2
+        assert capsys.readouterr().err == "error: flag --mc-cycles: must be >= 0, got -5\n"
+        # 0 still means: formulas only, no Monte Carlo run.
+        assert main(["fidelity", "--mc-cycles", "0"]) == 0
+        assert "mc_infidelity" not in json.loads(capsys.readouterr().out)
 
     def test_fig4_writes_one_monotone_csv_per_profile(self, tmp_path, capsys):
         assert main(["fig4", "--outdir", str(tmp_path)]) == 0
