@@ -32,7 +32,7 @@ from .optics import (
     mps_infidelity,
     mps_side_loss,
 )
-from .protocol import SimConfig, SimMode, des_run
+from .protocol import _NEVER, SimConfig, SimMode, des_run
 from .rates import RateReport, TimingParams, mpi_rate, mps_rate, mps_rate_limit
 from .rng import derive_seed
 
@@ -164,6 +164,12 @@ def _parse_sweep(text: str) -> list[float]:
 
 def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
     config = RunConfig(**settings)
+
+    def timeout_cycles(length_km: float) -> int:
+        return TimingParams(config.tau_c_ns, config.geometry(length_km).tau_t_us).n
+
+    # Keys of each check; a rule on several keys is reported at the last of
+    # them that the input set, so the error names a flag or line.
     checks = (
         ("alpha_qd_db", lambda: LossBudget(config.alpha_qd_db, 0.0)),
         ("alpha_bsm_db", lambda: LossBudget(0.0, config.alpha_bsm_db)),
@@ -173,20 +179,24 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
             "bsm_split_fraction",
             lambda: LossBudget(0.0, 0.0, bsm_split_fraction=config.bsm_split_fraction),
         ),
-        ("length_km", lambda: ChannelGeometry(config.length_km)),
+        ("length_km", lambda: ChannelGeometry(config.length_km, 1.0)),
         ("delay_us_per_km", lambda: ChannelGeometry(1.0, config.delay_us_per_km)),
         ("dark_count_rate_hz", lambda: DetectorModel(config.dark_count_rate_hz, 0.0)),
-        ("window_ns", config.detector),
+        ("window_ns", lambda: DetectorModel(0.0, config.window_ns)),
+        ("dark_count_rate_hz window_ns", config.detector),
         ("tau_c_ns", lambda: TimingParams(config.tau_c_ns, 1.0)),
         ("sweep", config.sweep_distances),
+        ("delay_us_per_km tau_c_ns length_km", lambda: timeout_cycles(config.length_km)),
+        ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
     )
-    for key, check in checks:
+    for keys, check in checks:
         try:
             check()
         except (ValueError, ConfigError) as exc:
+            key = next((key for key in reversed(keys.split()) if key in lines), keys.split()[-1])
             raise ConfigError(f"{lines.get(key, key)}: {exc}") from None
-    if config.cycles < 1:
-        raise ConfigError(f"{lines.get('cycles', 'cycles')}: cycles must be >= 1")
+    if not 1 <= config.cycles <= _NEVER:
+        raise ConfigError(f"{lines.get('cycles', 'cycles')}: cycles must be >= 1 and <= 2**62")
     if config.seed < 0:
         raise ConfigError(f"{lines.get('seed', 'seed')}: seed must be >= 0")
     return config
@@ -361,6 +371,8 @@ def _cmd_markov(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     if args.mc_cycles < 0:
         raise ConfigError(f"flag --mc-cycles: must be >= 0, got {args.mc_cycles}")
+    if args.mc_cycles > _NEVER:
+        raise ConfigError(f"flag --mc-cycles: must be <= 2**62, got {args.mc_cycles}")
     config = _load_config(args)
     geom = config.geometry()
     budget = config.budget()

@@ -136,6 +136,11 @@ class ChannelGeometry:
             raise ValueError(f"length_km must be positive, got {self.length_km!r}")
         if not math.isfinite(self.delay_us_per_km) or self.delay_us_per_km <= 0:
             raise ValueError(f"delay_us_per_km must be positive, got {self.delay_us_per_km!r}")
+        if not math.isfinite(self.tau_t_us):
+            raise ValueError(
+                f"length_km * delay_us_per_km overflows, got {self.length_km!r} km"
+                f" at {self.delay_us_per_km!r} us/km"
+            )
 
     @property
     def tau_t_us(self) -> float:

@@ -15,15 +15,17 @@ Two information models are implemented:
   each instantly knew about the other's heralds, reproducing the Markov
   chain of :mod:`mpslink.markov` exactly.
 
-Both engines are event-driven: while nothing can happen, whole stretches
-of idle cycles are skipped.  Attempts are independent per cycle, so a
-reopened receiver's wait for its next herald is geometric and is drawn in
-one step.  Each side's waits and true/false marks come from Philox
-streams keyed by (seed, side, purpose), one value of each per herald,
-served as one iterator of ``(gap, is_true)`` pairs per side whose
-``next()`` runs in C, so a herald's mark travels with its gap.  Equal
-configs give bit-identical runs.  The omniscient engine is a tight epoch
-loop that keeps both sides' pending heralds in locals.
+Attempts are independent per cycle, so a receiver's wait from reopening
+to its next herald is geometric and is drawn in one step.  Each side's
+waits and true/false marks come from Philox streams keyed by (seed, side,
+purpose), drawn ahead in blocks of ``(gap, is_true)`` pairs, so a herald's
+mark travels with its gap.  Equal configs give bit-identical runs.
+
+The literal engine is event-driven: it jumps from one herald, deadline or
+message arrival to the next, skipping idle cycles.  The omniscient engine
+is a renewal sampler (Ross, *Stochastic Processes*, ch. 3).  Its epochs
+run from both sides open to both sides reopening and are independent, so
+it draws them a block at a time and counts whole blocks with numpy.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -65,7 +67,12 @@ from .rates import TimingParams
 # Unused here; benchmarks/tracing.py patches protocol.u01 by name, so it must exist.
 from .rng import u01  # noqa: F401
 
-_NEVER = 2**62  # herald time used when the per-cycle herald probability is zero
+# Longest accepted run (SimConfig caps total_cycles here); no run reaches this cycle.
+_NEVER = 2**62
+# Longest drawn wait, the first float above _NEVER: a herald with this gap
+# lands past every run from any reopening cycle.  Sides with p_any = 0 get it
+# for every herald.
+_GAP_CAP = int(math.nextafter(float(_NEVER), math.inf))
 
 
 class Side(Enum):
@@ -280,6 +287,8 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.total_cycles > _NEVER:
+            raise ValueError(f"total_cycles must be <= 2**62, got {self.total_cycles!r}")
         for name in ("seed", "trace_limit"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -391,21 +400,26 @@ _GAP, _MARK = 0, 1
 # Uniforms drawn ahead per Philox stream, read at draw time.
 _BLOCK = 2**11
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _uniforms(bits: np.random.Philox) -> np.ndarray:
     return (bits.random_raw(_BLOCK) >> 11) * 2.0**-53
 
 
-def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[tuple[int, bool]]:
-    """Per-side herald process: ``(gap, is_true)`` for each successive herald.
+def _herald_blocks(
+    seed: int, model: HeraldModel, side: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-side herald process in blocks: ``_BLOCK`` gaps (int64) and marks (bool).
 
     A receiver attempts every cycle with probability ``p_any``, and the
     attempts are independent, so the wait from its reopening cycle
     ``open_from`` to its first success is geometric: the herald lands at
     ``open_from + gap - 1``, one inversion draw skips the failed cycles, and
-    no attempt made while the side was closed is ever drawn.  Each herald
-    carries a true/false mark with probability ``true_fraction``, paired
-    with its own gap.  Sides are the engine indices 0 (left) and 1 (right).
+    no attempt made while the side was closed is ever drawn.  Gaps are
+    capped at ``_GAP_CAP``, past every run.  Each herald carries a
+    true/false mark with probability ``true_fraction``, paired with its own
+    gap.  Sides are the engine indices 0 (left) and 1 (right).
 
     Each side has two Philox streams (Salmon et al., SC'11) keyed by
     ``(seed, side, purpose)``: one for gaps and one for marks.  Its k-th
@@ -413,28 +427,35 @@ def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[tuple[in
     block size ``_BLOCK`` in which they are drawn ahead.  Uniforms are
     built from the raw 64-bit Philox words, whose stream numpy keeps fixed
     across releases (NEP 19), so equal configs give bit-identical runs.
-    ``next()`` on the result runs in C except once per block.
     """
     p = model.p_any
     if p <= 0.0:
-        return itertools.repeat((_NEVER + 1, False))  # lands at or after _NEVER
+        while True:
+            yield np.full(_BLOCK, _GAP_CAP, np.int64), np.zeros(_BLOCK, bool)
     gap_bits, mark_bits = (
         np.random.Philox(np.random.SeedSequence([seed, side, purpose]))
         for purpose in (_GAP, _MARK)
     )
     log_fail = math.log1p(-p) if p < 1.0 else None
     true_fraction = model.true_fraction
+    while True:
+        if log_fail is None:
+            gaps = np.ones(_BLOCK, np.int64)  # p = 1: every cycle succeeds
+        else:
+            gaps = np.ceil(np.log1p(-_uniforms(gap_bits)) / log_fail)
+            gaps = np.clip(gaps, 1.0, _GAP_CAP).astype(np.int64)
+        yield gaps, _uniforms(mark_bits) < true_fraction
 
-    def blocks() -> Iterator[zip]:
-        while True:
-            if log_fail is None:
-                gaps = [1] * _BLOCK  # p = 1: every cycle succeeds
-            else:
-                gaps = np.ceil(np.log1p(-_uniforms(gap_bits)) / log_fail)
-                gaps = np.clip(gaps, 1.0, _NEVER).astype(np.int64).tolist()
-            yield zip(gaps, (_uniforms(mark_bits) < true_fraction).tolist())
 
-    return itertools.chain.from_iterable(blocks())
+def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[tuple[int, bool]]:
+    """:func:`_herald_blocks` one herald at a time: ``(gap, is_true)`` as Python values.
+
+    ``next()`` on the result runs in C except once per block.
+    """
+    blocks = _herald_blocks(seed, model, side)
+    return itertools.chain.from_iterable(
+        zip(gaps.tolist(), marks.tolist()) for gaps, marks in blocks
+    )
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
@@ -479,80 +500,117 @@ def _sim_stats(
 
 
 def _run_omniscient(config: SimConfig) -> SimStats:
-    """Epoch-driven run where resets follow the omniscient joint rule.
+    """Renewal sampler of the omniscient joint rule, one block of epochs at a time.
 
-    From a both-open epoch, the first herald closes its side for ``n``
-    cycles.  A coincident herald confirms a pair at the window end; a later
-    herald on the other side just joins the wait, and in every non-matching
-    case both sides reopen together right after the first herald's deadline,
-    discarding a herald that lands on the final closed cycle.  A side whose
-    pending herald falls after that deadline keeps it into the next epoch.
+    An epoch starts at ``t0`` with both sides open.  Each side's wait for its
+    next herald is geometric and memoryless, so both are drawn afresh from
+    ``t0``: epoch ``k`` takes the ``k``-th ``(gap, mark)`` of each side's
+    stream.  The first herald closes its side for ``n`` cycles and both
+    sides reopen together right after its deadline, so the epoch lasts
+    ``min(gaps) + n`` cycles.  Equal gaps confirm a pair at the deadline,
+    true iff both marks are; an unequal later herald counts iff it lands by
+    the deadline, and is then discarded.
+
+    Epochs that lie wholly in the measured cycles are counted over each
+    block with ``cumsum``, masks and ``count_nonzero``.  The warm-up epochs,
+    those that take trace notes, the epoch that ends the run, and blocks
+    whose ends could pass int64 go through ``epoch``, one at a time.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
-    next_left, next_right = (
-        _herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)
-    )
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []
-    room = trace_limit > 0  # the trace takes another note
 
-    # Each side's pending herald cycle and its mark; both sides open at 0.
-    left, left_true = next_left()
-    right, right_true = next_right()
-    left, right, t0 = left - 1, right - 1, 0
-    while True:
-        if right < left:
-            first, bin, late = 1, right, left
-        else:
-            first, bin, late = 0, left, right
+    def note(cycle: int, side: str, event: str) -> None:
+        if len(trace) < trace_limit:
+            trace.append((cycle, side, event))
+
+    def epoch(t0: int, gap_left: int, gap_right: int, true_left: bool, true_right: bool) -> int:
+        """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
+        nonlocal true_pairs, false_pairs, both_open
+        first = 1 if gap_right < gap_left else 0
+        bin = t0 + min(gap_left, gap_right) - 1
+        late = t0 + max(gap_left, gap_right) - 1
         lo = t0 if t0 > warmup else warmup  # first measured cycle of the open span
         if bin >= total:
             both_open += total - lo
-            break
+            return total
         if bin >= lo:
             both_open += bin - lo + 1
         if bin >= warmup:
             heralds[first] += 1
-        if room:
-            trace.append((bin, _SIDE_KEYS[first], "herald"))
-            room = len(trace) < trace_limit
+        note(bin, _SIDE_KEYS[first], "herald")
         end = bin + n
-        consumed = late <= end  # the other side heralded into the closed window
-        if consumed and late < total:
+        if late <= end and late < total:  # the other side heralded into the closed window
             if late >= warmup:
                 heralds[1 - first] += 1
-            if room:
-                trace.append((late, _SIDE_KEYS[1 - first], "herald"))
-                room = len(trace) < trace_limit
+            note(late, _SIDE_KEYS[1 - first], "herald")
         if late == bin:
             if end < total:
                 if bin >= warmup:
-                    if left_true and right_true:
+                    if true_left and true_right:
                         true_pairs += 1
                     else:
                         false_pairs += 1
-                if room:
-                    trace.append((end, "both", "confirm"))
-                    room = len(trace) < trace_limit
-        elif room:
-            trace.append((end if end < total else total - 1, _SIDE_KEYS[first], "timeout"))
-            room = len(trace) < trace_limit
-        t0 = end + 1
-        if t0 >= total:
+                note(end, "both", "confirm")
+        else:
+            note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
+        return end + 1
+
+    def one_at_a_time(t0: int, size: int) -> bool:
+        """Whether the next epoch of a block of ``size`` goes through ``epoch``."""
+        return t0 < warmup or len(trace) < trace_limit or t0 + size * total > _INT64_MAX
+
+    # An epoch lasts min(gaps) + n cycles.  Blocks reach numpy only after the
+    # warm-up of 2n cycles, so n < total there, and capping the gap at
+    # ``total - n`` keeps each length at most ``total`` and exact whenever the
+    # epoch ends inside the run.
+    gap_len = total - n
+    blocks = zip(*(_herald_blocks(config.seed, config.herald, side) for side in (0, 1)))
+    t0 = 0
+    for (gaps_left, marks_left), (gaps_right, marks_right) in blocks:
+        size = len(gaps_left)
+        if one_at_a_time(t0, size):
+            rows = zip(*(a.tolist() for a in (gaps_left, gaps_right, marks_left, marks_right)))
+            for done, row in enumerate(rows, start=1):
+                t0 = epoch(t0, *row)
+                if t0 >= total or not one_at_a_time(t0, size):
+                    break
+            if t0 >= total:
+                break
+            if done == size:
+                continue
+            gaps_left, gaps_right = gaps_left[done:], gaps_right[done:]
+            marks_left, marks_right = marks_left[done:], marks_right[done:]
+        first_gaps = np.minimum(gaps_left, gaps_right)
+        lengths = np.minimum(first_gaps, gap_len)
+        lengths += n
+        # Epochs [0, k) start after the warm-up and end at ``end``, inside the run.
+        end = t0 + int(lengths.sum())
+        k = len(lengths)
+        if end >= total:
+            ends = np.cumsum(lengths)
+            ends += t0
+            k = int(np.searchsorted(ends, total))
+            end = int(ends[k - 1]) if k else t0
+        if k:
+            deadline = first_gaps[:k] + n  # a herald counts iff it lands by the deadline
+            heralds[0] += int(np.count_nonzero(gaps_left[:k] <= deadline))
+            heralds[1] += int(np.count_nonzero(gaps_right[:k] <= deadline))
+            pair = gaps_left[:k] == gaps_right[:k]
+            pairs = int(np.count_nonzero(pair))
+            pair &= marks_left[:k]
+            pair &= marks_right[:k]
+            true = int(np.count_nonzero(pair))
+            true_pairs += true
+            false_pairs += pairs - true
+            both_open += end - t0 - k * n  # each epoch is open for min(gaps) cycles
+            t0 = end
+        if k < len(lengths):  # epoch k ends the run
+            gaps, marks = (gaps_left[k], gaps_right[k]), (marks_left[k], marks_right[k])
+            epoch(t0, *map(int, gaps), *map(bool, marks))
             break
-        # Both sides reopen at t0; a side draws anew only if its herald is spent.
-        if first == 0 or consumed:
-            if left >= t0:
-                raise InvariantError(f"side 0 redrawn at {t0}, not after its herald {left}")
-            gap, left_true = next_left()
-            left = t0 + gap - 1
-        if first == 1 or consumed:
-            if right >= t0:
-                raise InvariantError(f"side 1 redrawn at {t0}, not after its herald {right}")
-            gap, right_true = next_right()
-            right = t0 + gap - 1
     return _sim_stats(
         config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
     )

@@ -43,6 +43,11 @@ class TimingParams:
     @property
     def n(self) -> int:
         ratio = self.tau_t_us * 1e3 / self.tau_c_ns
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"timeout n = tau_t_us * 1e3 / tau_c_ns overflows, got {self.tau_t_us!r} us"
+                f" at {self.tau_c_ns!r} ns"
+            )
         return max(1, math.ceil(ratio * (1.0 - 1e-12)))
 
     @property

@@ -5,7 +5,7 @@ integers/strings naming the consumer.  Identical keys therefore yield
 identical values in any run, on any platform, and independent of how many
 other draws happened before.  :func:`derive_seed` gives each point of a
 ``cli`` sweep its own simulation seed.  The simulation itself draws its
-herald process from numpy's Philox generator (``protocol._herald_draws``);
+herald process from numpy's Philox generator (``protocol._herald_blocks``);
 no package code calls :func:`u01`.
 """
 

@@ -80,6 +80,43 @@ class TestParseConfig:
                 r"^line 2 \(window_ns\): .*dark_count_rate_hz \* window_ns \* 1e-9, must be < 1",
                 id="dark-count-probability",
             ),
+            # A rule on several keys names the last of them that the input set.
+            pytest.param(
+                "", {"dark_count_rate_hz": "1e9"},
+                r"^flag --dark-count-rate-hz: .*must be < 1, got 10\.0$", id="dark-count-rate-only",
+            ),
+            pytest.param(
+                "window_ns=1e9", None, r"^line 1 \(window_ns\): .*must be < 1", id="window-only",
+            ),
+            pytest.param(
+                "", {"length_km": "1e308"},
+                r"^flag --length-km: length_km \* delay_us_per_km overflows", id="length-overflow",
+            ),
+            pytest.param(
+                "delay_us_per_km=1e300\nlength_km=1e10", None,
+                r"^line 2 \(length_km\): length_km \* delay_us_per_km overflows",
+                id="length-times-delay-overflow",
+            ),
+            pytest.param(
+                "sweep=1e308:1e308:1", None,
+                r"^line 1 \(sweep\): length_km \* delay_us_per_km overflows", id="sweep-overflow",
+            ),
+            pytest.param(
+                "", {"length_km": "1e306"},
+                r"^flag --length-km: timeout n = tau_t_us \* 1e3 / tau_c_ns overflows",
+                id="timeout-overflow",
+            ),
+            pytest.param(
+                "tau_c_ns=1e-310", None,
+                r"^line 1 \(tau_c_ns\): timeout n = .* overflows", id="clock-overflow",
+            ),
+            pytest.param(
+                "cycles=4611686018427387905", None,
+                r"^line 1 \(cycles\): cycles must be >= 1 and <= 2\*\*62$", id="cycles-over-limit",
+            ),
+            pytest.param(
+                "", {"cycles": "0"}, r"^flag --cycles: cycles must be >= 1", id="zero-cycles",
+            ),
         ],
     )
     def test_invariant_violation_names_key_and_line(self, text, overrides, blame):
@@ -308,6 +345,39 @@ class TestSubcommands:
         # 0 still means: formulas only, no Monte Carlo run.
         assert main(["fidelity", "--mc-cycles", "0"]) == 0
         assert "mc_infidelity" not in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (
+                ["rates", "--dark-count-rate-hz", "1e9"],
+                "flag --dark-count-rate-hz: dark-count probability per window,"
+                " dark_count_rate_hz * window_ns * 1e-9, must be < 1, got 10.0",
+            ),
+            (
+                ["simulate", "--length-km", "1e308"],
+                "flag --length-km: length_km * delay_us_per_km overflows,"
+                " got 1e+308 km at 5.0 us/km",
+            ),
+            (
+                ["rates", "--sweep", "1e308:1e308:1"],
+                "flag --sweep: length_km * delay_us_per_km overflows, got 1e+308 km at 5.0 us/km",
+            ),
+            (
+                ["simulate", "--cycles", str(2**62 + 100)],
+                "flag --cycles: cycles must be >= 1 and <= 2**62",
+            ),
+            (
+                ["fidelity", "--mc-cycles", str(2**62 + 1)],
+                f"flag --mc-cycles: must be <= 2**62, got {2**62 + 1}",
+            ),
+        ],
+    )
+    def test_limits_and_joint_rules_name_the_flag(self, capsys, argv, message):
+        """The joint rules used to print a bare key the user never set, or no
+        key; a run past 2**62 cycles used to count heralds that never came."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_fig4_writes_one_monotone_csv_per_profile(self, tmp_path, capsys):
         assert main(["fig4", "--outdir", str(tmp_path)]) == 0

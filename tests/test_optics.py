@@ -73,6 +73,10 @@ class TestLossBudgetInvariants:
         with pytest.raises(ValueError):
             ChannelGeometry(length_km=0.0)
 
+    def test_geometry_rejects_overflowing_delay(self):
+        with pytest.raises(ValueError, match="^length_km \\* delay_us_per_km overflows"):
+            ChannelGeometry(length_km=1e308)
+
     def test_tau_t_consistency(self):
         geom = ChannelGeometry(length_km=50.0, delay_us_per_km=5.0)
         assert geom.tau_t_us == 50.0 * 5.0

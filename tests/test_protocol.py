@@ -319,76 +319,56 @@ def _reference_literal(config):
 
 
 def _reference_omniscient(config):
-    """The omniscient epoch loop in readable form: pending heralds in a list.
+    """The omniscient rule as a scalar loop over epochs, one draw per side each.
 
-    ``des_run`` runs the same epochs in omniscient mode with the pending
-    heralds, their marks and the span clip in locals; the two must agree
-    field for field.
+    An epoch starts with both sides open; each side's next herald is its
+    next ``(gap, mark)`` from ``t0``, with nothing carried over from the
+    epoch before.  ``des_run`` counts the same epochs a block at a time in
+    omniscient mode; the two must agree field for field.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    trace_limit = config.trace_limit
-    stream = _ReferenceStream(config)
+    draws = [_herald_draws(config.seed, config.herald, side) for side in (0, 1)]
     sides = ("left", "right")
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
     trace = []
 
-    pending = [stream.next_herald(0, 0), stream.next_herald(1, 0)]
+    def note(cycle, side, event):
+        if len(trace) < config.trace_limit:
+            trace.append((cycle, side, event))
+
     t0 = 0
     while t0 < total:
-        t_first = min(pending)
-        if t_first >= total:
+        (gap_left, true_left), (gap_right, true_right) = next(draws[0]), next(draws[1])
+        pending = [t0 + gap_left - 1, t0 + gap_right - 1]
+        first = 0 if pending[0] <= pending[1] else 1
+        second = 1 - first
+        bin, late = pending[first], pending[second]
+        if bin >= total:
             both_open += _open_cycles(t0, total - 1, warmup, total)
             break
-        both_open += _open_cycles(t0, t_first, warmup, total)
-        if pending[0] == pending[1]:
-            bin = t_first
-            # Both kinds are drawn, as the pair needs both to be genuine.
-            true_left = stream.is_true(0, bin)
-            true_right = stream.is_true(1, bin)
-            for side in (0, 1):
-                if bin >= warmup:
-                    heralds[side] += 1
-                if len(trace) < trace_limit:
-                    trace.append((bin, sides[side], "herald"))
-            confirm = bin + n
-            if confirm < total:
+        both_open += _open_cycles(t0, bin, warmup, total)
+        if bin >= warmup:
+            heralds[first] += 1
+        note(bin, sides[first], "herald")
+        deadline = bin + n
+        if late <= deadline and late < total:
+            # The open side heralded into the closed window; both reopen
+            # together after the first side's deadline.
+            if late >= warmup:
+                heralds[second] += 1
+            note(late, sides[second], "herald")
+        if late == bin:
+            if deadline < total:
                 if bin >= warmup:
                     if true_left and true_right:
                         true_pairs += 1
                     else:
                         false_pairs += 1
-                if len(trace) < trace_limit:
-                    trace.append((confirm, "both", "confirm"))
-            t0 = confirm + 1
-            if t0 >= total:
-                break
-            pending = [stream.next_herald(0, t0), stream.next_herald(1, t0)]
+                note(deadline, "both", "confirm")
         else:
-            first = 0 if pending[0] < pending[1] else 1
-            second = 1 - first
-            bin = pending[first]
-            if bin >= warmup:
-                heralds[first] += 1
-            if len(trace) < trace_limit:
-                trace.append((bin, sides[first], "herald"))
-            late = pending[second]
-            second_consumed = late <= bin + n
-            if second_consumed and late < total:
-                # The open side heralded into the closed window; both reopen
-                # together at the first side's deadline.
-                if late >= warmup:
-                    heralds[second] += 1
-                if len(trace) < trace_limit:
-                    trace.append((late, sides[second], "herald"))
-            if len(trace) < trace_limit:
-                trace.append((min(bin + n, total - 1), sides[first], "timeout"))
-            t0 = bin + n + 1
-            if t0 >= total:
-                break
-            pending[first] = stream.next_herald(first, t0)
-            if second_consumed:
-                pending[second] = stream.next_herald(second, t0)
+            note(min(deadline, total - 1), sides[first], "timeout")
+        t0 = deadline + 1
     return _sim_stats(
         config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
     )
@@ -421,6 +401,18 @@ class TestLiteralEngineMatchesReceiverStep:
             assert des_run(config) == _reference_literal(config), config
 
 
+# Runs of several default blocks of herald draws.
+BLOCK_CASES = {
+    # About 10k heralds per side: five default blocks.
+    "many_blocks": dict(
+        beta_qd=0.9, beta_ms=0.9, n=5, total_cycles=60_000, seed=21, p_dc=0.02,
+        trace_limit=40,
+    ),
+    "p001_n500": dict(beta_qd=1.0, beta_ms=0.01, n=500, total_cycles=300_000, seed=4),
+    "n1": dict(beta_qd=0.6, beta_ms=0.5, n=1, total_cycles=20_000, seed=9, p_dc=0.01),
+}
+
+
 class TestOmniscientEngineMatchesReference:
     def test_random_small_configs(self):
         rng = random.Random(20132)
@@ -441,21 +433,16 @@ class TestOmniscientEngineMatchesReference:
             }
         assert {name for name, hit in seen if hit} == {name for name, _ in seen}
 
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_runs_of_many_blocks(self, case):
+        config = SimConfig(mode=SimMode.OMNISCIENT, **BLOCK_CASES[case])
+        assert des_run(config) == _reference_omniscient(config)
+
 
 class TestHeraldStream:
-    BLOCK_CASES = {
-        # About 10k heralds per side: five default blocks.
-        "many_blocks": dict(
-            beta_qd=0.9, beta_ms=0.9, n=5, total_cycles=60_000, seed=21, p_dc=0.02,
-            trace_limit=40,
-        ),
-        "p001_n500": dict(beta_qd=1.0, beta_ms=0.01, n=500, total_cycles=300_000, seed=4),
-        "n1": dict(beta_qd=0.6, beta_ms=0.5, n=1, total_cycles=20_000, seed=9, p_dc=0.01),
-    }
-
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_block_size_does_not_change_the_run(self, case, monkeypatch):
-        configs = [SimConfig(mode=mode, **self.BLOCK_CASES[case]) for mode in SimMode]
+        configs = [SimConfig(mode=mode, **BLOCK_CASES[case]) for mode in SimMode]
         expected = [des_run(config) for config in configs]
         heralds = sum(stats.heralds_left + stats.heralds_right for stats in expected)
         uniforms = protocol._uniforms
@@ -557,6 +544,12 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="^trace_limit must be an integer >= 0"):
                 SimConfig(trace_limit=trace_limit, **LOSSLESS)
 
+    def test_rejects_runs_past_the_cycle_limit(self):
+        """Heralds that never come are placed at or after cycle 2**62; a
+        longer run counted one per side there and confirmed a pair."""
+        with pytest.raises(ValueError, match="^total_cycles must be <= 2\\*\\*62"):
+            SimConfig(beta_qd=0.0, beta_ms=0.5, n=10, total_cycles=_NEVER + 100)
+
     def test_warns_on_short_run(self):
         with pytest.warns(UserWarning):
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500)
@@ -593,6 +586,42 @@ class TestDesRun:
             assert stats.rate_hz == pytest.approx(
                 expected / (stats.measured_cycles * 500e-9), rel=1e-12
             )
+
+    @pytest.mark.parametrize("beta_qd", [0.0, 1e-20])
+    def test_longest_run_without_heralds_stays_open(self, beta_qd):
+        """At p = 0, and at p = 1e-40 whose waits pass the gap cap, nothing
+        lands inside a run of 2**62 cycles."""
+        for mode in SimMode:
+            stats = des_run(
+                SimConfig(beta_qd=beta_qd, beta_ms=beta_qd, n=10, total_cycles=_NEVER, mode=mode)
+            )
+            assert stats.heralds_left == stats.heralds_right == 0
+            assert stats.true_coincidences == stats.false_coincidences == 0
+            assert stats.open_fraction == 1.0
+
+    @pytest.mark.parametrize("n, total", [(2**45, _NEVER), (2**60, _NEVER), (2**40, 2**50)])
+    def test_lossless_oracle_at_huge_counts(self, n, total):
+        """Epoch ends near 2**62 must not wrap int64; the last case is summed
+        with numpy, the others one epoch at a time."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 2**62 < 10 * 2**60
+            config = SimConfig(beta_qd=1.0, beta_ms=1.0, n=n, total_cycles=total)
+        stats = des_run(config)
+        expected = _expected_lossless_pairs(total, n, stats.warmup_cycles)
+        assert expected > 0
+        assert stats.true_coincidences == expected
+        assert stats.false_coincidences == 0
+        assert stats.heralds_left == stats.heralds_right >= expected
+
+    def test_timeout_past_int64(self):
+        """``n`` has no upper bound; a run whose timeout passes int64 is all
+        one epoch."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # total_cycles < 10 * n
+            config = SimConfig(beta_qd=0.5, beta_ms=0.5, n=2**70, total_cycles=5000, seed=2)
+        stats = des_run(config)
+        assert stats == _reference_omniscient(config)
+        assert stats.warmup_cycles == stats.cycles_run == 5000
 
     def test_determinism_bit_identical(self):
         config = SimConfig(
@@ -700,8 +729,10 @@ class TestDesRun:
 # Full SimStats of both engines on fixed seeds.  The degenerate cases
 # (beta_qd_0, beta_qd_1_lossless, no_measured) draw nothing that matters and
 # are as first recorded; the others were recorded on the per-herald Philox
-# draws.  Any change to event order, warm-up accounting, the herald
-# draws or the rate arithmetic shows up here as an inequality.
+# draws, and the omniscient ones again when every epoch began to draw both
+# sides afresh (short_run's epochs never carried a herald, so it kept its
+# pin).  Any change to event order, warm-up accounting, the herald draws or
+# the rate arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
     "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
     "dark_counts": dict(
@@ -731,12 +762,12 @@ GOLDEN_STATS = {
         measured_cycles=999000,
         tau_c_ns=500.0,
         heralds_left=1814,
-        heralds_right=1815,
-        true_coincidences=9,
+        heralds_right=1813,
+        true_coincidences=14,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.09001101101101101,
-        rate_hz=18.018018018018015,
+        open_fraction=0.08910510510510511,
+        rate_hz=28.02802802802802,
         infidelity_estimate=0.0,
     ),
     ("p001_n500", "literal"): SimStats(
@@ -760,14 +791,14 @@ GOLDEN_STATS = {
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1653,
-        heralds_right=1668,
-        true_coincidences=35,
-        false_coincidences=25,
+        heralds_left=1655,
+        heralds_right=1678,
+        true_coincidences=52,
+        false_coincidences=31,
         one_sided_confirms=0,
-        open_fraction=0.25446357085668536,
-        rate_hz=2401.921537229783,
-        infidelity_estimate=0.4166666666666667,
+        open_fraction=0.258306645316253,
+        rate_hz=3322.6581265012,
+        infidelity_estimate=0.37349397590361444,
     ),
     ("dark_counts", "literal"): SimStats(
         mode='literal',
@@ -790,27 +821,27 @@ GOLDEN_STATS = {
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=300,
-        heralds_right=308,
-        true_coincidences=29,
-        false_coincidences=0,
+        heralds_left=301,
+        heralds_right=306,
+        true_coincidences=41,
+        false_coincidences=1,
         one_sided_confirms=0,
-        open_fraction=0.30522088353413657,
-        rate_hz=19410.97724230254,
-        infidelity_estimate=0.0,
+        open_fraction=0.3169344042838019,
+        rate_hz=28112.44979919678,
+        infidelity_estimate=0.023809523809523808,
         trace=(
             (3, "right", "herald"), (5, "left", "herald"),
             (9, "right", "timeout"), (17, "left", "herald"),
-            (23, "left", "timeout"), (24, "right", "herald"),
-            (30, "left", "herald"), (30, "right", "timeout"),
-            (39, "left", "herald"), (44, "right", "herald"),
-            (45, "left", "timeout"), (46, "right", "herald"),
-            (47, "left", "herald"), (52, "right", "timeout"),
-            (59, "left", "herald"), (59, "right", "herald"),
-            (65, "both", "confirm"), (66, "left", "herald"),
-            (68, "right", "herald"), (72, "left", "timeout"),
-            (75, "right", "herald"), (76, "left", "herald"),
-            (81, "right", "timeout"), (83, "left", "herald"),
+            (23, "left", "timeout"), (30, "left", "herald"),
+            (36, "left", "timeout"), (37, "right", "herald"),
+            (43, "right", "timeout"), (45, "left", "herald"),
+            (50, "right", "herald"), (51, "left", "timeout"),
+            (54, "right", "herald"), (58, "left", "herald"),
+            (60, "right", "timeout"), (61, "left", "herald"),
+            (63, "right", "herald"), (67, "left", "timeout"),
+            (71, "left", "herald"), (74, "right", "herald"),
+            (77, "left", "timeout"), (79, "left", "herald"),
+            (83, "right", "herald"), (85, "left", "timeout"),
         ),
     ),
     ("trace", "literal"): SimStats(
@@ -848,18 +879,18 @@ GOLDEN_STATS = {
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4815,
-        heralds_right=4865,
-        true_coincidences=1255,
+        heralds_left=4809,
+        heralds_right=4827,
+        true_coincidences=1243,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.6635163516351635,
-        rate_hz=125512.5512551255,
+        open_fraction=0.6625162516251625,
+        rate_hz=124312.4312431243,
         infidelity_estimate=0.0,
         trace=(
             (0, "right", "herald"), (1, "left", "herald"),
             (1, "right", "timeout"), (2, "left", "herald"),
-            (3, "left", "timeout"), (5, "right", "herald"),
+            (3, "left", "timeout"), (4, "right", "herald"),
         ),
     ),
     ("n1", "literal"): SimStats(
@@ -928,14 +959,14 @@ GOLDEN_STATS = {
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=1774,
-        heralds_right=1778,
-        true_coincidences=296,
-        false_coincidences=61,
+        heralds_left=1778,
+        heralds_right=1781,
+        true_coincidences=282,
+        false_coincidences=70,
         one_sided_confirms=0,
-        open_fraction=0.11004337671004338,
-        rate_hz=23823.823823823823,
-        infidelity_estimate=0.17086834733893558,
+        open_fraction=0.10877544210877545,
+        rate_hz=23490.156823490153,
+        infidelity_estimate=0.19886363636363635,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
         mode='literal',
@@ -988,13 +1019,13 @@ GOLDEN_STATS = {
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2214,
-        heralds_right=2220,
+        heralds_left=2244,
+        heralds_right=2227,
         true_coincidences=0,
-        false_coincidences=128,
+        false_coincidences=136,
         one_sided_confirms=0,
-        open_fraction=0.34132066033016506,
-        rate_hz=6403.201600800398,
+        open_fraction=0.3353426713356678,
+        rate_hz=6803.401700850423,
         infidelity_estimate=1.0,
     ),
     ("beta_qd_0_dark", "literal"): SimStats(

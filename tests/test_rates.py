@@ -45,6 +45,12 @@ class TestTimingParams:
         with pytest.raises(ValueError):
             TimingParams(tau_c_ns=0.0, tau_t_us=250.0)
 
+    def test_overflowing_timeout_is_a_value_error(self):
+        """It used to raise OverflowError from ``math.ceil(inf)``."""
+        for tau_c_ns, tau_t_us in ((500.0, 1e306), (1e-310, 250.0)):
+            with pytest.raises(ValueError, match="^timeout n = tau_t_us"):
+                TimingParams(tau_c_ns=tau_c_ns, tau_t_us=tau_t_us).n
+
 
 class TestMpiRate:
     def test_50km_desk_value(self):
