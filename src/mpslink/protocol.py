@@ -532,12 +532,9 @@ def _run_omniscient(config: SimConfig) -> SimStats:
         first = 1 if gap_right < gap_left else 0
         bin = t0 + min(gap_left, gap_right) - 1
         late = t0 + max(gap_left, gap_right) - 1
-        lo = t0 if t0 > warmup else warmup  # first measured cycle of the open span
+        both_open += _open_cycles(t0, bin, warmup, total)
         if bin >= total:
-            both_open += total - lo
             return total
-        if bin >= lo:
-            both_open += bin - lo + 1
         if bin >= warmup:
             heralds[first] += 1
         note(bin, _SIDE_KEYS[first], "herald")

@@ -730,9 +730,9 @@ class TestDesRun:
 # (beta_qd_0, beta_qd_1_lossless, no_measured) draw nothing that matters and
 # are as first recorded; the others were recorded on the per-herald Philox
 # draws, and the omniscient ones again when every epoch began to draw both
-# sides afresh (short_run's epochs never carried a herald, so it kept its
-# pin).  Any change to event order, warm-up accounting, the herald draws or
-# the rate arithmetic shows up here as an inequality.
+# sides afresh (short_run's run came out the same and kept its pin).  Any
+# change to event order, warm-up accounting, the herald draws or the rate
+# arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
     "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
     "dark_counts": dict(
