@@ -193,7 +193,7 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
         try:
             check()
         except (ValueError, ConfigError) as exc:
-            key = next((key for key in reversed(keys.split()) if key in lines), keys.split()[-1])
+            key = ([key for key in keys.split() if key in lines] or keys.split())[-1]
             raise ConfigError(f"{lines.get(key, key)}: {exc}") from None
     if not 1 <= config.cycles <= _NEVER:
         raise ConfigError(f"{lines.get('cycles', 'cycles')}: cycles must be >= 1 and <= 2**62")
