@@ -162,11 +162,27 @@ def _parse_sweep(text: str) -> list[float]:
     return [round(start + k * step, 9) for k in range(math.floor(steps) + 1)]
 
 
+# Keys that add to a link's loss in dB, besides its length.
+_LOSS_KEYS = "alpha_qd_db alpha_bsm_db fiber_db_per_km source_penalty_db"
+
+
 def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
     config = RunConfig(**settings)
 
     def timeout_cycles(length_km: float) -> int:
         return TimingParams(config.tau_c_ns, config.geometry(length_km).tau_t_us).n
+
+    def transmissions(length_km: float) -> None:
+        # 10**(-dB/10) leaves the normal floats past about 3077 dB and is 0
+        # past about 3240 dB; the rates and infidelities divide by it.
+        geom, budget = config.geometry(length_km), config.budget()
+        alpha1 = mpi_loss(budget, geom, config.encoding)
+        side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
+        if min(db_to_prob(alpha1), side.beta_2) < sys.float_info.min:
+            raise ValueError(
+                f"the transmission underflows at {length_km} km: losses of {alpha1:g} dB (MPI)"
+                f" and {side.alpha2_db:g} dB (MPS)"
+            )
 
     # Keys of each check; a rule on several keys is reported at the last of
     # them that the input set, so the error names a flag or line.
@@ -188,6 +204,8 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
         ("sweep", config.sweep_distances),
         ("delay_us_per_km tau_c_ns length_km", lambda: timeout_cycles(config.length_km)),
         ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
+        (f"{_LOSS_KEYS} length_km", lambda: transmissions(config.length_km)),
+        (f"{_LOSS_KEYS} sweep", lambda: transmissions(max(config.sweep_distances()))),
     )
     for keys, check in checks:
         try:

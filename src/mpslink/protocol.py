@@ -21,11 +21,17 @@ waits and true/false marks come from Philox streams keyed by (seed, side,
 purpose), drawn ahead in blocks of ``(gap, is_true)`` pairs, so a herald's
 mark travels with its gap.  Equal configs give bit-identical runs.
 
-The literal engine is event-driven: it jumps from one herald, deadline or
-message arrival to the next, skipping idle cycles.  The omniscient engine
-is a renewal sampler (Ross, *Stochastic Processes*, ch. 3).  Its epochs
-run from both sides open to both sides reopening and are independent, so
-it draws them a block at a time and counts whole blocks with numpy.
+The literal engine takes one step per herald.  Announcements land in bin
+order, so a side that heralds at ``b`` resets at ``r = h + n``, where
+``h`` is the other side's earliest herald in ``(b - n, b]``, or at its
+deadline ``b + n`` if there is no such herald.  The reset is a confirm if
+``h == b``, a mismatch reset if ``h < b`` and a timeout if there is no
+``h``.  Heralds are handled in cycle order, both sides together on a tie,
+so ``r`` and the side's next herald are known as soon as ``b`` is handled.
+The omniscient engine is a renewal sampler (Ross, *Stochastic Processes*,
+ch. 3).  Its epochs run from both sides open to both sides reopening and
+are independent, so it draws them a block at a time and counts whole
+blocks with numpy.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -33,11 +39,10 @@ It and its dataclasses, like the per-attempt sampler
 :func:`bsm_attempt_sample`, are a test reference and are not exported from
 :mod:`mpslink`.  The engines do not call it: they index the two sides as
 ``0`` (left) and ``1`` (right) and keep per-side state in plain ints, lists
-and tuples, and the literal engine applies the same rule inline, so no
-object is allocated per event.  The tests drive a loop over
-:func:`receiver_step` as the reference the literal engine must match field
-for field.  Invariant violations raise :class:`InvariantError`, also under
-``python -O``.
+and tuples, so no object is allocated per event.  The tests drive a loop
+over :func:`receiver_step`, one cycle with an event at a time, as the
+reference the literal engine must match field for field.  Invariant
+violations raise :class:`InvariantError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -614,102 +619,136 @@ def _run_omniscient(config: SimConfig) -> SimStats:
 
 
 def _run_literal(config: SimConfig) -> SimStats:
-    """Event-driven run of the literal message protocol.
+    """Run of the literal message protocol, one step per herald.
 
-    Applies the :func:`receiver_step` rule inline on int-indexed state: per
-    side, the held bin (-1 while open), the next herald cycle and the mark of
-    the held bin (of the next herald while open), plus a queue of in-flight
-    ``(arrival, bin, true)`` announcements addressed to that side.  Within a
-    cycle the left side acts first.
+    A side that heralds at ``b`` holds its spin and announces ``b``, and the
+    announcement lands on the other side at ``b + n``.  The first
+    announcement to land while the side holds resets it.  So the side resets
+    at ``r = h + n``, where ``h`` is the other side's earliest herald in
+    ``(b - n, b]``, or at its deadline ``r = b + n`` if there is no such
+    herald.  The reset is a confirm if ``h == b``, a mismatch reset if
+    ``h < b`` and a timeout if there is no ``h``.  The side reopens at
+    ``r + 1``, so its next herald lands at ``r + gap`` for its next drawn
+    ``gap``.  A receiver that ignores some announcements while it holds
+    changes only how ``h`` is chosen.
+
+    Heralds are handled in cycle order, both sides together on a tie.  Every
+    input to ``r`` is then known when a herald is handled, so the side's next
+    draw is taken at once, and each side takes its draws in the order that
+    :func:`receiver_step` would.  Per side, a deque keeps the heralds whose
+    announcements can still reach the other side.  A confirm needs the other
+    side to herald in the same cycle, so pairs and one-sided confirms come
+    only from ties.  Both sides are open outside the holds ``(b, r]``.
+
+    The trace is rebuilt from the heralds, the resets, and the announcements
+    that reset nobody and land on an open side (``stale_ignored``), in the
+    order ``(cycle, side, reset before herald)``.  Events are collected until
+    ``trace_limit`` heralds lie before the current cycle; every later event
+    falls past the trace's end.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
     draws = [_herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)]
     heralds = [0, 0]
     true_pairs = false_pairs = one_sided = both_open = 0
-    trace: list[tuple[int, str, str]] = []
-
-    held = [-1, -1]
-    (gap_left, true_left), (gap_right, true_right) = draws[0](), draws[1]()
+    (gap_left, mark_left), (gap_right, mark_right) = draws[0](), draws[1]()
     next_herald = [gap_left - 1, gap_right - 1]
-    held_true = [true_left, true_right]
-    inflight: tuple[deque[tuple[int, int, bool]], ...] = (deque(), deque())
-    inbox_left, inbox_right = inflight
-    open_now, open_since = True, 0
+    marks = [mark_left, mark_right]  # of each side's next herald
+    # Per side, its heralds whose announcements can still reach the other side.
+    sent: tuple[deque[int], ...] = (deque(), deque())
+    closed_to = -1  # last cycle of the holds handled so far
+
+    # Trace notes as (cycle, side, order, event): in one cycle a side's reset
+    # or stale announcement (order 0) comes before its herald (order 1).
+    notes: list[tuple[int, int, int, str]] = []
+    noted: list[tuple[int, int]] = []  # (side, bin) of the heralds noted
+    resetting: set[tuple[int, int]] = set()  # (side, bin) of announcements that reset
+    tracing = trace_limit > 0
+
+    def note_hold(side: int, b: int, h: int | None, r: int, event: str) -> None:
+        noted.append((side, b))
+        notes.append((b, side, 1, "herald"))
+        if r < total:
+            notes.append((r, side, 0, event))
+        if h is not None:
+            resetting.add((1 - side, h))
 
     while True:
-        t = held[0] + n if held[0] >= 0 else next_herald[0]
-        t_right = held[1] + n if held[1] >= 0 else next_herald[1]
-        if t_right < t:
-            t = t_right
-        if inbox_left and inbox_left[0][0] < t:
-            t = inbox_left[0][0]
-        if inbox_right and inbox_right[0][0] < t:
-            t = inbox_right[0][0]
-        if t >= total:
+        left, right = next_herald
+        b = left if left <= right else right
+        if b >= total:
             break
+        if tracing and len(noted) >= trace_limit:
+            tracing = False
+        if b > closed_to:
+            # Both sides are open from closed_to + 1 through b: _open_cycles,
+            # inlined since b < total.
+            lo = closed_to + 1 if closed_to >= warmup else warmup
+            if b >= lo:
+                both_open += b - lo + 1
 
-        confirms = 0
-        for side in (0, 1):
-            inbox = inflight[side]
-            msg = inbox.popleft() if inbox and inbox[0][0] == t else None
-            bin = held[side]
-            if bin >= 0:
-                if msg is not None:
-                    if msg[1] == bin:
-                        event = "confirm"
-                        pair = (bin, held_true[side] and msg[2])
-                        if confirms and pair != confirmed:
-                            raise InvariantError(
-                                f"cycle {t}: the two sides confirmed different pairs"
-                                f" {confirmed} and {pair}"
-                            )
-                        confirmed = pair
-                        confirms += 1
-                    else:
-                        event = "mismatch_reset"
-                elif t == bin + n:
-                    event = "timeout"
-                else:
-                    continue
-                if len(trace) < trace_limit:
-                    trace.append((t, _SIDE_KEYS[side], event))
-                held[side] = -1
-                gap, held_true[side] = draws[side]()  # the side reopens at t + 1
-                next_herald[side] = t + gap
+        if left != right:  # one side heralds
+            side = 0 if left < right else 1
+            sent[side].append(b)
+            theirs = sent[1 - side]
+            while theirs and theirs[0] <= b - n:
+                theirs.popleft()
+            if theirs:
+                h = theirs[0]
+                r, event = h + n, "mismatch_reset"
             else:
-                if msg is not None and len(trace) < trace_limit:
-                    # An announcement landing on an open receiver carries no news.
-                    trace.append((t, _SIDE_KEYS[side], "stale_ignored"))
-                if next_herald[side] == t:
-                    truth = held_true[side]
-                    if t >= warmup:
-                        heralds[side] += 1
-                    if len(trace) < trace_limit:
-                        trace.append((t, _SIDE_KEYS[side], "herald"))
-                    held[side] = t
-                    next_herald[side] = _NEVER
-                    inflight[1 - side].append((t + n, t, truth))
+                h, r, event = None, b + n, "timeout"
+            if b >= warmup:
+                heralds[side] += 1
+            if r > closed_to:
+                closed_to = r
+            if tracing:
+                note_hold(side, b, h, r, event)
+            gap, marks[side] = draws[side]()
+            next_herald[side] = r + gap
+            continue
 
-        if confirms == 2:
-            if confirmed[0] >= warmup:
-                if confirmed[1]:
+        # Both sides herald at b; each sees the other's earliest herald in (b - n, b].
+        sent[0].append(b)
+        sent[1].append(b)
+        confirms = 0
+        pair_true = marks[0] and marks[1]
+        for side in (0, 1):
+            theirs = sent[1 - side]
+            while theirs[0] <= b - n:
+                theirs.popleft()
+            h = theirs[0]
+            r = h + n
+            if h == b:
+                event = "confirm"
+                confirms += 1
+            else:
+                event = "mismatch_reset"
+            if b >= warmup:
+                heralds[side] += 1
+            if r > closed_to:
+                closed_to = r
+            if tracing:
+                note_hold(side, b, h, r, event)
+            gap, marks[side] = draws[side]()
+            next_herald[side] = r + gap
+        if confirms and b + n < total:
+            if confirms == 1:
+                # The other side was reset by an earlier announcement and its
+                # spin is gone; the lone confirmation yields no pair.
+                one_sided += 1
+            elif b >= warmup:
+                if pair_true:
                     true_pairs += 1
                 else:
                     false_pairs += 1
-        elif confirms == 1:
-            # The other side was reset by a stale announcement and its spin
-            # is gone; the lone confirmation does not yield a pair.
-            one_sided += 1
 
-        if (held[0] < 0 and held[1] < 0) != open_now:
-            if open_now:
-                both_open += _open_cycles(open_since, t, warmup, total)
-            open_now = not open_now
-            open_since = t + 1
-
-    if open_now:
-        both_open += _open_cycles(open_since, total - 1, warmup, total)
+    both_open += _open_cycles(closed_to + 1, total - 1, warmup, total)
+    for side, c in noted:
+        if (side, c) not in resetting and c + n < total:
+            notes.append((c + n, 1 - side, 0, "stale_ignored"))
+    notes.sort()
+    trace = [(cycle, _SIDE_KEYS[side], event) for cycle, side, _, event in notes[:trace_limit]]
     return _sim_stats(
         config, SimMode.LITERAL, heralds, true_pairs, false_pairs, one_sided, both_open, trace
     )

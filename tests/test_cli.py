@@ -1,6 +1,7 @@
 """Config parsing, CSV/JSON emission and the five subcommands."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,22 @@ class TestParseConfig:
             pytest.param(
                 "tau_c_ns=1e-310", None,
                 r"^line 1 \(tau_c_ns\): timeout n = .* overflows", id="clock-overflow",
+            ),
+            # A loss of more than about 3077 dB leaves no normal-float transmission.
+            pytest.param(
+                "", {"length_km": "100000"},
+                r"^flag --length-km: the transmission underflows at 100000\.0 km",
+                id="length-underflow",
+            ),
+            pytest.param(
+                "sweep=10:40000:10000", None,
+                r"^line 1 \(sweep\): the transmission underflows at 30010\.0 km",
+                id="sweep-underflow",
+            ),
+            pytest.param(
+                "alpha_qd_db=2000", None,
+                r"^line 1 \(alpha_qd_db\): the transmission underflows at 50\.0 km",
+                id="loss-underflow",
             ),
             pytest.param(
                 "cycles=4611686018427387905", None,
@@ -371,11 +388,28 @@ class TestSubcommands:
                 ["fidelity", "--mc-cycles", str(2**62 + 1)],
                 f"flag --mc-cycles: must be <= 2**62, got {2**62 + 1}",
             ),
+            (
+                ["rates", "--sweep", "10:40000:10000"],
+                "flag --sweep: the transmission underflows at 30010.0 km:"
+                " losses of 6027 dB (MPI) and 6032 dB (MPS)",
+            ),
+            (
+                ["fidelity", "--length-km", "100000"],
+                "flag --length-km: the transmission underflows at 100000.0 km:"
+                " losses of 20025 dB (MPI) and 20030 dB (MPS)",
+            ),
+            (
+                # (beta_qd * beta_ms)**2 used to underflow here: ZeroDivisionError.
+                ["fidelity", "--length-km", "17000"],
+                "flag --length-km: the transmission underflows at 17000.0 km:"
+                " losses of 3425 dB (MPI) and 3430 dB (MPS)",
+            ),
         ],
     )
     def test_limits_and_joint_rules_name_the_flag(self, capsys, argv, message):
         """The joint rules used to print a bare key the user never set, or no
-        key; a run past 2**62 cycles used to count heralds that never came."""
+        key; a run past 2**62 cycles used to count heralds that never came; a
+        transmission that underflowed to 0 used to fail without a key."""
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -426,6 +460,15 @@ class TestSubcommands:
         assert code == 2
         assert captured.out == ""
         assert "alpha_qd_db" in captured.err
+
+    def test_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "mpslink", "--help"],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.startswith("usage: mpslink ")
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

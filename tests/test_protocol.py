@@ -1,5 +1,6 @@
 """Receiver state machine, herald sampling and the two simulation engines."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -393,12 +394,18 @@ def _random_small_config(rng, mode=SimMode.LITERAL):
         )
 
 
-class TestLiteralEngineMatchesReceiverStep:
-    def test_random_small_configs(self):
-        rng = random.Random(20131)
-        for _ in range(200):
-            config = _random_small_config(rng)
-            assert des_run(config) == _reference_literal(config), config
+def _coverage(config, stats):
+    """The corner cases one random config and its run hit, by name."""
+    p = config.herald.p_any
+    return {
+        ("n=1", config.n == 1),
+        ("p=0", p == 0.0),
+        ("p=1", p == 1.0),
+        ("dark counts", config.p_dc > 0.0 and stats.false_coincidences > 0),
+        ("trace cap", 0 < len(stats.trace) == config.trace_limit),
+        ("short run", config.total_cycles < 10 * config.n),
+        ("warm-up is the run", config.warmup_cycles == config.total_cycles),
+    }
 
 
 # Runs of several default blocks of herald draws.
@@ -412,6 +419,54 @@ BLOCK_CASES = {
     "n1": dict(beta_qd=0.6, beta_ms=0.5, n=1, total_cycles=20_000, seed=9, p_dc=0.01),
 }
 
+# The literal engine also runs at p·n = 25, where almost every hold ends in
+# a mismatch reset; about 2200 heralds per side.
+LITERAL_BLOCK_CASES = {
+    **BLOCK_CASES,
+    "pn25": dict(
+        beta_qd=1.0, beta_ms=0.025, n=1000, total_cycles=1_200_000, seed=1, trace_limit=60
+    ),
+}
+
+
+class TestLiteralEngineMatchesReceiverStep:
+    def test_random_small_configs(self):
+        rng = random.Random(20131)
+        seen = set()
+        for _ in range(200):
+            config = _random_small_config(rng)
+            stats = des_run(config)
+            assert stats == _reference_literal(config), config
+            events = {event for _, _, event in stats.trace}
+            seen |= _coverage(config, stats) | {
+                ("one-sided confirm", stats.one_sided_confirms > 0),
+                ("stale announcement", "stale_ignored" in events),
+                ("mismatch reset", "mismatch_reset" in events),
+                ("confirm", "confirm" in events),
+            }
+        assert {name for name, hit in seen if hit} == {name for name, _ in seen}
+
+    @pytest.mark.parametrize("case", sorted(LITERAL_BLOCK_CASES))
+    def test_runs_of_many_blocks(self, case):
+        config = SimConfig(mode=SimMode.LITERAL, **LITERAL_BLOCK_CASES[case])
+        assert des_run(config) == _reference_literal(config)
+
+    def test_every_trace_cap_keeps_the_first_events(self):
+        """The engine stops collecting trace events once the cap is met by
+        heralds of earlier cycles; each cap must still give the full trace's
+        first events."""
+        config = SimConfig(
+            beta_qd=0.6, beta_ms=0.5, n=3, total_cycles=400, seed=7, p_dc=0.01,
+            mode=SimMode.LITERAL, trace_limit=10_000,
+        )
+        full = des_run(config)
+        assert full == _reference_literal(config)
+        assert {event for _, _, event in full.trace[:12]} == {
+            "herald", "confirm", "mismatch_reset", "timeout", "stale_ignored"
+        }
+        for cap in range(1, 60):
+            assert des_run(dataclasses.replace(config, trace_limit=cap)).trace == full.trace[:cap]
+
 
 class TestOmniscientEngineMatchesReference:
     def test_random_small_configs(self):
@@ -421,16 +476,7 @@ class TestOmniscientEngineMatchesReference:
             config = _random_small_config(rng, SimMode.OMNISCIENT)
             stats = des_run(config)
             assert stats == _reference_omniscient(config), config
-            p = config.herald.p_any
-            seen |= {
-                ("n=1", config.n == 1),
-                ("p=0", p == 0.0),
-                ("p=1", p == 1.0),
-                ("dark counts", config.p_dc > 0.0 and stats.false_coincidences > 0),
-                ("trace cap", 0 < len(stats.trace) == config.trace_limit),
-                ("short run", config.total_cycles < 10 * config.n),
-                ("warm-up is the run", config.warmup_cycles == config.total_cycles),
-            }
+            seen |= _coverage(config, stats)
         assert {name for name, hit in seen if hit} == {name for name, _ in seen}
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
