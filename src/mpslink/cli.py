@@ -15,8 +15,9 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Literal, get_args, get_type_hints
+from typing import Callable, Literal, get_args, get_type_hints
 
 from .markov import full_chain, stationary, stationary_as_dict, stationary_open_prob
 from .optics import (
@@ -165,8 +166,14 @@ def _parse_sweep(text: str) -> list[float]:
 # Keys that add to a link's loss in dB, besides its length.
 _LOSS_KEYS = "alpha_qd_db alpha_bsm_db fiber_db_per_km source_penalty_db"
 
+# A command's own config check: the keys it is reported at, and a callable
+# that raises ValueError on a bad config.
+_Rule = tuple[str, Callable[[RunConfig], object]]
 
-def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
+
+def _validate(
+    settings: dict[str, object], lines: dict[str, str], rules: tuple[_Rule, ...] = ()
+) -> RunConfig:
     config = RunConfig(**settings)
 
     def timeout_cycles(length_km: float) -> int:
@@ -206,6 +213,7 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
         ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
         (f"{_LOSS_KEYS} length_km", lambda: transmissions(config.length_km)),
         (f"{_LOSS_KEYS} sweep", lambda: transmissions(max(config.sweep_distances()))),
+        *((keys, partial(rule, config)) for keys, rule in rules),
     )
     for keys, check in checks:
         try:
@@ -220,11 +228,15 @@ def _validate(settings: dict[str, object], lines: dict[str, str]) -> RunConfig:
     return config
 
 
-def parse_config(text: str, overrides: dict[str, object] | None = None) -> RunConfig:
+def parse_config(
+    text: str, overrides: dict[str, object] | None = None, rules: tuple[_Rule, ...] = ()
+) -> RunConfig:
     """Parse ``key=value`` config text, apply overrides, validate everything.
 
     Unknown keys, malformed values and violated invariants are reported
-    with the offending key and line number.
+    with the offending key and line number.  ``rules`` adds a command's own
+    ``(keys, rule)`` checks: ``rule(config)`` raises ``ValueError`` and is
+    reported at the last of ``keys`` that the input set.
     """
     settings: dict[str, object] = {}
     lines: dict[str, str] = {}
@@ -245,7 +257,7 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> RunCo
             raise ConfigError(f"{flag}: unknown key {key!r}")
         settings[key] = _parse_value(key, str(value), flag)
         lines[key] = flag
-    return _validate(settings, lines)
+    return _validate(settings, lines, rules)
 
 
 def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateReport:
@@ -333,7 +345,7 @@ def emit(reports: list[RateReport], fmt: str, destination) -> None:
         Path(destination).write_text(text, encoding="ascii")
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace, rules: tuple[_Rule, ...] = ()) -> RunConfig:
     text = ""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -346,7 +358,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, value in vars(args).items()
         if key in _KEY_TYPES and value is not None
     }
-    return parse_config(text, overrides)
+    return parse_config(text, overrides, rules)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -386,25 +398,42 @@ def _cmd_markov(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fidelity(args: argparse.Namespace) -> int:
-    if args.mc_cycles < 0:
-        raise ConfigError(f"flag --mc-cycles: must be >= 0, got {args.mc_cycles}")
-    if args.mc_cycles > _NEVER:
-        raise ConfigError(f"flag --mc-cycles: must be <= 2**62, got {args.mc_cycles}")
-    config = _load_config(args)
+def _fidelity_payload(config: RunConfig) -> dict[str, float]:
+    """The ``fidelity`` formulas at the configured length.
+
+    Both infidelities are first order in the dark-count probability over a
+    transmission; past 1 they mean nothing, and the input is rejected.
+    """
     geom = config.geometry()
     budget = config.budget()
     side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
     beta_1 = db_to_prob(mpi_loss(budget, geom, config.encoding))
     p_dc = config.detector().p_dc
-    payload = {
+    mps = mps_infidelity(p_dc, side.beta_qd, side.beta_ms)
+    mpi = mpi_infidelity(p_dc, beta_1)
+    if max(mps, mpi) > 1.0:
+        raise ValueError(
+            f"the first-order infidelity exceeds 1 at {config.length_km} km:"
+            f" {mps:.3g} (MPS) and {mpi:.3g} (MPI)"
+        )
+    return {
         "p_dc": p_dc,
         "beta_qd": side.beta_qd,
         "beta_ms": side.beta_ms,
         "beta_1": beta_1,
-        "mps_infidelity": mps_infidelity(p_dc, side.beta_qd, side.beta_ms),
-        "mpi_infidelity": mpi_infidelity(p_dc, beta_1),
+        "mps_infidelity": mps,
+        "mpi_infidelity": mpi,
     }
+
+
+def _cmd_fidelity(args: argparse.Namespace) -> int:
+    if args.mc_cycles < 0:
+        raise ConfigError(f"flag --mc-cycles: must be >= 0, got {args.mc_cycles}")
+    if args.mc_cycles > _NEVER:
+        raise ConfigError(f"flag --mc-cycles: must be <= 2**62, got {args.mc_cycles}")
+    keys = f"dark_count_rate_hz window_ns {_LOSS_KEYS} length_km"
+    config = _load_config(args, ((keys, _fidelity_payload),))
+    payload = _fidelity_payload(config)
     if args.mc_cycles:
         stats = des_run(config.sim_config(args.mc_cycles, config.seed))
         payload["mc_infidelity"] = stats.infidelity_estimate

@@ -17,9 +17,12 @@ Two information models are implemented:
 
 Attempts are independent per cycle, so a receiver's wait from reopening
 to its next herald is geometric and is drawn in one step.  Each side's
-waits and true/false marks come from Philox streams keyed by (seed, side,
-purpose), drawn ahead in blocks of ``(gap, is_true)`` pairs, so a herald's
-mark travels with its gap.  Equal configs give bit-identical runs.
+waits come from a Philox stream keyed by (seed, side), drawn ahead in
+blocks.  A herald is true with probability ``tf = true_fraction``
+independently of its wait, so a confirmed pair is true with probability
+``tf**2``, and only confirmed pairs need a truth at all: the run's j-th
+counted pair takes word j of one more Philox stream, keyed apart from the
+sides'.  Equal configs give bit-identical runs.
 
 The literal engine takes one step per herald.  Announcements land in bin
 order, so a side that heralds at ``b`` resets at ``r = h + n``, where
@@ -228,6 +231,11 @@ class HeraldModel:
     def true_fraction(self) -> float:
         return self.p_true / self.p_any if self.p_any > 0 else 0.0
 
+    @property
+    def pair_true_fraction(self) -> float:
+        """Probability that a confirmed pair is true: both of its heralds are."""
+        return self.true_fraction * self.true_fraction
+
 
 def herald_model(
     beta_qd: float, beta_ms: float, p_dc: float, variant: BsmVariant
@@ -398,69 +406,92 @@ def write_trace_csv(stats: SimStats, destination) -> None:
 # Side indices of the engines; the strings name the sides in the trace.
 _SIDE_KEYS = tuple(side.value for side in Side)
 
-# SeedSequence purposes of a side's two streams.
-_GAP, _MARK = 0, 1
+# SeedSequence keys: a side's gaps are (seed, side, _GAP), the pair truths
+# (seed, _BOTH, _TRUTH).
+_GAP, _TRUTH = 0, 1
+_BOTH = 2
 
 
-# Uniforms drawn ahead per Philox stream, read at draw time.
+# Gaps drawn ahead per side.
 _BLOCK = 2**11
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _uniforms(bits: np.random.Philox) -> np.ndarray:
-    return (bits.random_raw(_BLOCK) >> 11) * 2.0**-53
-
-
-def _herald_blocks(
-    seed: int, model: HeraldModel, side: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per-side herald process in blocks: ``_BLOCK`` gaps (int64) and marks (bool).
+def _herald_blocks(seed: int, model: HeraldModel, side: int) -> Iterator[np.ndarray]:
+    """Per-side herald process in blocks of ``_BLOCK`` gaps (int64).
 
     A receiver attempts every cycle with probability ``p_any``, and the
     attempts are independent, so the wait from its reopening cycle
     ``open_from`` to its first success is geometric: the herald lands at
     ``open_from + gap - 1``, one inversion draw skips the failed cycles, and
     no attempt made while the side was closed is ever drawn.  Gaps are
-    capped at ``_GAP_CAP``, past every run.  Each herald carries a
-    true/false mark with probability ``true_fraction``, paired with its own
-    gap.  Sides are the engine indices 0 (left) and 1 (right).
+    capped at ``_GAP_CAP``, past every run.  Sides are the engine indices 0
+    (left) and 1 (right).
 
-    Each side has two Philox streams (Salmon et al., SC'11) keyed by
-    ``(seed, side, purpose)``: one for gaps and one for marks.  Its k-th
-    herald takes the k-th uniform of each, so a run does not depend on the
-    block size ``_BLOCK`` in which they are drawn ahead.  Uniforms are
-    built from the raw 64-bit Philox words, whose stream numpy keeps fixed
-    across releases (NEP 19), so equal configs give bit-identical runs.
+    Each side's gaps come from a Philox stream (Salmon et al., SC'11) keyed
+    by ``(seed, side, _GAP)``.  Its k-th herald takes the k-th word, so a run
+    does not depend on the block size ``_BLOCK`` in which they are drawn
+    ahead.  A word ``w`` gives the uniform ``u = (w >> 11) * 2**-53``.  The
+    raw 64-bit Philox words are a stream numpy keeps fixed across releases
+    (NEP 19), so equal configs give bit-identical runs.
     """
     p = model.p_any
     if p <= 0.0:
         while True:
-            yield np.full(_BLOCK, _GAP_CAP, np.int64), np.zeros(_BLOCK, bool)
-    gap_bits, mark_bits = (
-        np.random.Philox(np.random.SeedSequence([seed, side, purpose]))
-        for purpose in (_GAP, _MARK)
-    )
-    log_fail = math.log1p(-p) if p < 1.0 else None
-    true_fraction = model.true_fraction
+            yield np.full(_BLOCK, _GAP_CAP, np.int64)
+    if p >= 1.0:
+        while True:
+            yield np.ones(_BLOCK, np.int64)  # every cycle succeeds
+    bits = np.random.Philox(np.random.SeedSequence([seed, side, _GAP]))
+    log_fail = math.log1p(-p)
+    # ceil(log1p(-u) / log_fail), clipped to [1, _GAP_CAP], in one buffer.
+    buffer = np.empty(_BLOCK)
     while True:
-        if log_fail is None:
-            gaps = np.ones(_BLOCK, np.int64)  # p = 1: every cycle succeeds
-        else:
-            gaps = np.ceil(np.log1p(-_uniforms(gap_bits)) / log_fail)
-            gaps = np.clip(gaps, 1.0, _GAP_CAP).astype(np.int64)
-        yield gaps, _uniforms(mark_bits) < true_fraction
+        words = bits.random_raw(_BLOCK)
+        words >>= 11
+        np.multiply(words, 2.0**-53, out=buffer)
+        np.negative(buffer, out=buffer)
+        np.log1p(buffer, out=buffer)
+        np.divide(buffer, log_fail, out=buffer)
+        np.ceil(buffer, out=buffer)
+        np.maximum(buffer, 1.0, out=buffer)
+        np.minimum(buffer, _GAP_CAP, out=buffer)
+        yield buffer.astype(np.int64)
 
 
-def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[tuple[int, bool]]:
-    """:func:`_herald_blocks` one herald at a time: ``(gap, is_true)`` as Python values.
+def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[int]:
+    """:func:`_herald_blocks` one herald at a time, as Python ints.
 
     ``next()`` on the result runs in C except once per block.
     """
-    blocks = _herald_blocks(seed, model, side)
     return itertools.chain.from_iterable(
-        zip(gaps.tolist(), marks.tolist()) for gaps, marks in blocks
+        map(np.ndarray.tolist, _herald_blocks(seed, model, side))
     )
+
+
+def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
+    """How many of a run's ``pairs`` counted pairs are true.
+
+    The j-th counted pair takes word j of the Philox stream keyed by
+    ``(seed, _BOTH, _TRUTH)`` and is true iff its uniform ``u`` is below
+    ``f = pair_true_fraction``.  For ``f < 1``, ``f * 2**53`` is exact, so
+    ``u < f`` iff ``w >> 11 < ceil(f * 2**53)`` iff
+    ``w < ceil(f * 2**53) << 11``, which stays below 2**64; the words are
+    compared raw, ``_BLOCK`` at a time.  At ``f = 1`` every pair is true and
+    nothing is drawn.  Only the count of pairs enters, so a run does not
+    depend on the trace, on ``_BLOCK`` or on the order in which an engine
+    finds its pairs.
+    """
+    fraction = model.pair_true_fraction
+    if fraction >= 1.0:
+        return pairs
+    bits = np.random.Philox(np.random.SeedSequence([seed, _BOTH, _TRUTH]))
+    below = np.uint64(math.ceil(fraction * 2.0**53) << 11)
+    true = 0
+    for drawn in range(0, pairs, _BLOCK):
+        true += int(np.count_nonzero(bits.random_raw(min(_BLOCK, pairs - drawn)) < below))
+    return true
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
@@ -509,31 +540,33 @@ def _run_omniscient(config: SimConfig) -> SimStats:
 
     An epoch starts at ``t0`` with both sides open.  Each side's wait for its
     next herald is geometric and memoryless, so both are drawn afresh from
-    ``t0``: epoch ``k`` takes the ``k``-th ``(gap, mark)`` of each side's
-    stream.  The first herald closes its side for ``n`` cycles and both
-    sides reopen together right after its deadline, so the epoch lasts
-    ``min(gaps) + n`` cycles.  Equal gaps confirm a pair at the deadline,
-    true iff both marks are; an unequal later herald counts iff it lands by
-    the deadline, and is then discarded.
+    ``t0``: epoch ``k`` takes the ``k``-th gap of each side's stream.  The
+    first herald closes its side for ``n`` cycles and both sides reopen
+    together right after its deadline, so the epoch lasts ``min(gaps) + n``
+    cycles.  Equal gaps confirm a pair at the deadline; :func:`_true_pairs`
+    splits the counted pairs into true and false once the run is over.  An
+    unequal later herald counts iff it lands by the deadline, that is iff
+    the gaps differ by at most ``n``, and is then discarded.
 
     Epochs that lie wholly in the measured cycles are counted over each
-    block with ``cumsum``, masks and ``count_nonzero``.  The warm-up epochs,
-    those that take trace notes, the epoch that ends the run, and blocks
-    whose ends could pass int64 go through ``epoch``, one at a time.
+    block with ``cumsum``, masks of the gap differences and
+    ``count_nonzero``.  The warm-up epochs, those that take trace notes, the
+    epoch that ends the run, and blocks whose ends could pass int64 go
+    through ``epoch``, one at a time.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
     heralds = [0, 0]
-    true_pairs = false_pairs = both_open = 0
+    pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []
 
     def note(cycle: int, side: str, event: str) -> None:
         if len(trace) < trace_limit:
             trace.append((cycle, side, event))
 
-    def epoch(t0: int, gap_left: int, gap_right: int, true_left: bool, true_right: bool) -> int:
+    def epoch(t0: int, gap_left: int, gap_right: int) -> int:
         """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
-        nonlocal true_pairs, false_pairs, both_open
+        nonlocal pairs, both_open
         first = 1 if gap_right < gap_left else 0
         bin = t0 + min(gap_left, gap_right) - 1
         late = t0 + max(gap_left, gap_right) - 1
@@ -551,10 +584,7 @@ def _run_omniscient(config: SimConfig) -> SimStats:
         if late == bin:
             if end < total:
                 if bin >= warmup:
-                    if true_left and true_right:
-                        true_pairs += 1
-                    else:
-                        false_pairs += 1
+                    pairs += 1
                 note(end, "both", "confirm")
         else:
             note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
@@ -571,22 +601,20 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     gap_len = total - n
     blocks = zip(*(_herald_blocks(config.seed, config.herald, side) for side in (0, 1)))
     t0 = 0
-    for (gaps_left, marks_left), (gaps_right, marks_right) in blocks:
+    for gaps_left, gaps_right in blocks:
         size = len(gaps_left)
         if one_at_a_time(t0, size):
-            rows = zip(*(a.tolist() for a in (gaps_left, gaps_right, marks_left, marks_right)))
-            for done, row in enumerate(rows, start=1):
-                t0 = epoch(t0, *row)
-                if t0 >= total or not one_at_a_time(t0, size):
-                    break
+            done = 0
+            while done < size and t0 < total and one_at_a_time(t0, size):
+                t0 = epoch(t0, gaps_left.item(done), gaps_right.item(done))
+                done += 1
             if t0 >= total:
                 break
             if done == size:
                 continue
             gaps_left, gaps_right = gaps_left[done:], gaps_right[done:]
-            marks_left, marks_right = marks_left[done:], marks_right[done:]
-        first_gaps = np.minimum(gaps_left, gaps_right)
-        lengths = np.minimum(first_gaps, gap_len)
+        lengths = np.minimum(gaps_left, gaps_right)
+        np.minimum(lengths, gap_len, out=lengths)
         lengths += n
         # Epochs [0, k) start after the warm-up and end at ``end``, inside the run.
         end = t0 + int(lengths.sum())
@@ -597,24 +625,20 @@ def _run_omniscient(config: SimConfig) -> SimStats:
             k = int(np.searchsorted(ends, total))
             end = int(ends[k - 1]) if k else t0
         if k:
-            deadline = first_gaps[:k] + n  # a herald counts iff it lands by the deadline
-            heralds[0] += int(np.count_nonzero(gaps_left[:k] <= deadline))
-            heralds[1] += int(np.count_nonzero(gaps_right[:k] <= deadline))
-            pair = gaps_left[:k] == gaps_right[:k]
-            pairs = int(np.count_nonzero(pair))
-            pair &= marks_left[:k]
-            pair &= marks_right[:k]
-            true = int(np.count_nonzero(pair))
-            true_pairs += true
-            false_pairs += pairs - true
+            # The later herald lands by the first one's deadline iff the gaps
+            # differ by at most n.
+            diffs = gaps_left[:k] - gaps_right[:k]
+            heralds[0] += int(np.count_nonzero(diffs <= n))
+            heralds[1] += int(np.count_nonzero(diffs >= -n))
+            pairs += int(np.count_nonzero(diffs == 0))
             both_open += end - t0 - k * n  # each epoch is open for min(gaps) cycles
             t0 = end
         if k < len(lengths):  # epoch k ends the run
-            gaps, marks = (gaps_left[k], gaps_right[k]), (marks_left[k], marks_right[k])
-            epoch(t0, *map(int, gaps), *map(bool, marks))
+            epoch(t0, gaps_left.item(k), gaps_right.item(k))
             break
+    true_pairs = _true_pairs(config.seed, config.herald, pairs)
     return _sim_stats(
-        config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
+        config, SimMode.OMNISCIENT, heralds, true_pairs, pairs - true_pairs, 0, both_open, trace
     )
 
 
@@ -638,7 +662,9 @@ def _run_literal(config: SimConfig) -> SimStats:
     :func:`receiver_step` would.  Per side, a deque keeps the heralds whose
     announcements can still reach the other side.  A confirm needs the other
     side to herald in the same cycle, so pairs and one-sided confirms come
-    only from ties.  Both sides are open outside the holds ``(b, r]``.
+    only from ties.  Heralds carry no truth: :func:`_true_pairs` splits the
+    counted pairs once the run is over.  Both sides are open outside the
+    holds ``(b, r]``.
 
     The trace is rebuilt from the heralds, the resets, and the announcements
     that reset nobody and land on an open side (``stale_ignored``), in the
@@ -650,10 +676,8 @@ def _run_literal(config: SimConfig) -> SimStats:
     trace_limit = config.trace_limit
     draws = [_herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)]
     heralds = [0, 0]
-    true_pairs = false_pairs = one_sided = both_open = 0
-    (gap_left, mark_left), (gap_right, mark_right) = draws[0](), draws[1]()
-    next_herald = [gap_left - 1, gap_right - 1]
-    marks = [mark_left, mark_right]  # of each side's next herald
+    pairs = one_sided = both_open = 0
+    next_herald = [draws[0]() - 1, draws[1]() - 1]
     # Per side, its heralds whose announcements can still reach the other side.
     sent: tuple[deque[int], ...] = (deque(), deque())
     closed_to = -1  # last cycle of the holds handled so far
@@ -704,15 +728,13 @@ def _run_literal(config: SimConfig) -> SimStats:
                 closed_to = r
             if tracing:
                 note_hold(side, b, h, r, event)
-            gap, marks[side] = draws[side]()
-            next_herald[side] = r + gap
+            next_herald[side] = r + draws[side]()
             continue
 
         # Both sides herald at b; each sees the other's earliest herald in (b - n, b].
         sent[0].append(b)
         sent[1].append(b)
         confirms = 0
-        pair_true = marks[0] and marks[1]
         for side in (0, 1):
             theirs = sent[1 - side]
             while theirs[0] <= b - n:
@@ -730,18 +752,14 @@ def _run_literal(config: SimConfig) -> SimStats:
                 closed_to = r
             if tracing:
                 note_hold(side, b, h, r, event)
-            gap, marks[side] = draws[side]()
-            next_herald[side] = r + gap
+            next_herald[side] = r + draws[side]()
         if confirms and b + n < total:
             if confirms == 1:
                 # The other side was reset by an earlier announcement and its
                 # spin is gone; the lone confirmation yields no pair.
                 one_sided += 1
             elif b >= warmup:
-                if pair_true:
-                    true_pairs += 1
-                else:
-                    false_pairs += 1
+                pairs += 1
 
     both_open += _open_cycles(closed_to + 1, total - 1, warmup, total)
     for side, c in noted:
@@ -749,6 +767,8 @@ def _run_literal(config: SimConfig) -> SimStats:
             notes.append((c + n, 1 - side, 0, "stale_ignored"))
     notes.sort()
     trace = [(cycle, _SIDE_KEYS[side], event) for cycle, side, _, event in notes[:trace_limit]]
+    true_pairs = _true_pairs(config.seed, config.herald, pairs)
+    false_pairs = pairs - true_pairs
     return _sim_stats(
         config, SimMode.LITERAL, heralds, true_pairs, false_pairs, one_sided, both_open, trace
     )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -404,14 +405,49 @@ class TestSubcommands:
                 "flag --length-km: the transmission underflows at 17000.0 km:"
                 " losses of 3425 dB (MPI) and 3430 dB (MPS)",
             ),
+            (
+                # Used to print "mps_infidelity": 1.78e+94 and exit 0.
+                ["fidelity", "--length-km", "10000"],
+                "flag --length-km: the first-order infidelity exceeds 1 at 10000.0 km:"
+                " 1.78e+94 (MPS) and 1.78e+95 (MPI)",
+            ),
+            (
+                ["fidelity", "--length-km", "2000", "--dark-count-rate-hz", "1"],
+                "flag --length-km: the first-order infidelity exceeds 1 at 2000.0 km:"
+                " 1.78e+12 (MPS) and 1.78e+13 (MPI)",
+            ),
+            (
+                ["fidelity", "--dark-count-rate-hz", "5e7"],
+                "flag --dark-count-rate-hz: the first-order infidelity exceeds 1 at 50.0 km:"
+                " 10.7 (MPS) and 28.1 (MPI)",
+            ),
         ],
     )
     def test_limits_and_joint_rules_name_the_flag(self, capsys, argv, message):
         """The joint rules used to print a bare key the user never set, or no
         key; a run past 2**62 cycles used to count heralds that never came; a
-        transmission that underflowed to 0 used to fail without a key."""
+        transmission that underflowed to 0 used to fail without a key; an
+        infidelity past 1 used to be printed as a result."""
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_infidelity_past_one_names_the_config_line(self, tmp_path, capsys):
+        """The ``fidelity`` check names the line of a config file; other
+        commands, which print no infidelity, still run at that length."""
+        config = tmp_path / "long.cfg"
+        config.write_text("cycles=1000\nlength_km=2000\n")
+        assert main(["fidelity", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2 (length_km): the first-order infidelity exceeds 1 at 2000.0 km:"
+            " 1.78e+14 (MPS) and 1.78e+15 (MPI)\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # 1000 cycles < 10 * n
+            assert main(["simulate", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["cycles_run"] == 1000
+        # 400 km still passes: 0.0178 (MPS) and 0.178 (MPI).
+        assert main(["fidelity", "--length-km", "400"]) == 0
+        assert json.loads(capsys.readouterr().out)["mpi_infidelity"] < 1.0
 
     def test_fig4_writes_one_monotone_csv_per_profile(self, tmp_path, capsys):
         assert main(["fig4", "--outdir", str(tmp_path)]) == 0

@@ -40,7 +40,14 @@ from mpslink.protocol import (
     receiver_step,
 )
 import mpslink.protocol as protocol
-from mpslink.protocol import _NEVER, HeraldModel, _herald_draws, _open_cycles, _sim_stats
+from mpslink.protocol import (
+    _NEVER,
+    HeraldModel,
+    _herald_draws,
+    _open_cycles,
+    _sim_stats,
+    _true_pairs,
+)
 
 
 def _enumerated_side_probs(beta_qd, beta_ms, p_dc, variant):
@@ -209,28 +216,33 @@ class TestLiteralScenario:
 
 
 class _ReferenceStream:
-    """Herald cycles and kinds by call over the engines' per-side draws.
+    """Herald cycles by call over the engines' per-side draws.
 
     ``next_herald(side, open_from)`` gives the side's next herald at or
-    after its reopening cycle, and ``is_true(side, cycle)`` the kind of the
-    herald it gave last.  A side reopens only after that herald, and the
-    kind is asked only of it.
+    after its reopening cycle.  A side reopens only after the herald it was
+    given last.
     """
 
     def __init__(self, config):
         self._draws = [_herald_draws(config.seed, config.herald, side) for side in (0, 1)]
-        self._last = [(-1, None), (-1, None)]
+        self._last = [-1, -1]
 
     def next_herald(self, side, open_from):
-        assert open_from > self._last[side][0], (side, open_from, self._last[side])
-        gap, mark = next(self._draws[side])
-        self._last[side] = (open_from + gap - 1, mark)
-        return self._last[side][0]
+        assert open_from > self._last[side], (side, open_from, self._last[side])
+        self._last[side] = open_from + next(self._draws[side]) - 1
+        return self._last[side]
 
-    def is_true(self, side, cycle):
-        herald, mark = self._last[side]
-        assert cycle == herald >= 0, (side, cycle, herald)
-        return mark
+
+def _pair_truths(config):
+    """The truths of a run's counted pairs, in order, one raw word at a time.
+
+    The j-th counted pair takes word j of the Philox stream keyed by
+    ``(seed, 2, 1)`` and is true iff its uniform is below ``tf**2``.
+    """
+    bits = np.random.Philox(np.random.SeedSequence([config.seed, 2, 1]))
+    fraction = config.herald.pair_true_fraction
+    while True:
+        yield (bits.random_raw() >> 11) * 2**-53 < fraction
 
 
 def _reference_literal(config):
@@ -238,10 +250,14 @@ def _reference_literal(config):
 
     This is the readable form of the transition rule that ``des_run``
     inlines on ints in literal mode; the two must agree field for field.
+    Sides are indexed 0 (left) and 1 (right), as in the engines, and every
+    herald is passed as true: a pair's truth comes from :func:`_pair_truths`.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     stream = _ReferenceStream(config)
+    truths = _pair_truths(config)
     sides = tuple(Side)  # engine index 0 is Side.LEFT
+    names = tuple(side.value for side in sides)
     heralds = [0, 0]
     true_pairs = false_pairs = one_sided = both_open = 0
     trace = []
@@ -250,63 +266,61 @@ def _reference_literal(config):
         if len(trace) < config.trace_limit:
             trace.append((cycle, side, event))
 
-    state = {side: OPEN for side in Side}
-    next_herald = {side: stream.next_herald(i, 0) for i, side in enumerate(sides)}
-    inflight = {side: deque() for side in Side}
+    state = [OPEN, OPEN]
+    next_herald = [stream.next_herald(i, 0) for i in (0, 1)]
+    inflight = [deque(), deque()]  # announcements on their way to each side
     now_open, open_since = True, 0
 
     while True:
         candidates = []
-        for side in Side:
-            if isinstance(state[side], Closed):
-                candidates.append(state[side].deadline)
+        for i in (0, 1):
+            if isinstance(state[i], Closed):
+                candidates.append(state[i].deadline)
             else:
-                candidates.append(next_herald[side])
-            if inflight[side]:
-                candidates.append(inflight[side][0].arrival)
+                candidates.append(next_herald[i])
+            if inflight[i]:
+                candidates.append(inflight[i][0].arrival)
         t = min(candidates)
         if t >= total:
             break
 
-        confirms = {}
+        confirms = []
         for i, side in enumerate(sides):
             inbox = []
-            while inflight[side] and inflight[side][0].arrival == t:
-                inbox.append(inflight[side].popleft())
+            while inflight[i] and inflight[i][0].arrival == t:
+                inbox.append(inflight[i].popleft())
             local = None
-            if isinstance(state[side], Open) and next_herald[side] == t:
-                truth = stream.is_true(i, t)
-                kind = HeraldKind.TRUE_HERALD if truth else HeraldKind.FALSE_HERALD
-                local = HeraldRecord(cycle=t, side=side, kind=kind)
+            if isinstance(state[i], Open) and next_herald[i] == t:
+                local = HeraldRecord(cycle=t, side=side, kind=HeraldKind.TRUE_HERALD)
                 if t >= warmup:
                     heralds[i] += 1
-            due = isinstance(state[side], Closed) and state[side].deadline == t
+            due = isinstance(state[i], Closed) and state[i].deadline == t
             if local is None and not inbox and not due:
                 continue
-            new_state, outgoing, events = receiver_step(state[side], t, local, inbox, n)
-            inflight[side.other].extend(outgoing)
+            new_state, outgoing, events = receiver_step(state[i], t, local, inbox, n)
+            inflight[1 - i].extend(outgoing)
             for event in events:
-                note(t, side.value, event.kind)
+                note(t, names[i], event.kind)
                 if event.kind == "confirm":
-                    confirms[side] = event
+                    confirms.append(event)
             if isinstance(new_state, Closed):
-                next_herald[side] = _NEVER
-            elif isinstance(state[side], Closed):
-                next_herald[side] = stream.next_herald(i, t + 1)
-            state[side] = new_state
+                next_herald[i] = _NEVER
+            elif isinstance(state[i], Closed):
+                next_herald[i] = stream.next_herald(i, t + 1)
+            state[i] = new_state
 
         if len(confirms) == 2:
-            left, right = confirms[Side.LEFT], confirms[Side.RIGHT]
-            assert left.bin == right.bin and left.pair_true == right.pair_true
+            left, right = confirms
+            assert left.bin == right.bin
             if left.bin >= warmup:
-                if left.pair_true:
+                if next(truths):
                     true_pairs += 1
                 else:
                     false_pairs += 1
         elif len(confirms) == 1:
             one_sided += 1
 
-        all_open = all(isinstance(state[side], Open) for side in Side)
+        all_open = isinstance(state[0], Open) and isinstance(state[1], Open)
         if all_open != now_open:
             if now_open:
                 both_open += _open_cycles(open_since, t, warmup, total)
@@ -323,12 +337,14 @@ def _reference_omniscient(config):
     """The omniscient rule as a scalar loop over epochs, one draw per side each.
 
     An epoch starts with both sides open; each side's next herald is its
-    next ``(gap, mark)`` from ``t0``, with nothing carried over from the
-    epoch before.  ``des_run`` counts the same epochs a block at a time in
-    omniscient mode; the two must agree field for field.
+    next gap from ``t0``, with nothing carried over from the epoch before.
+    A counted pair's truth comes from :func:`_pair_truths`.  ``des_run``
+    counts the same epochs a block at a time in omniscient mode; the two
+    must agree field for field.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     draws = [_herald_draws(config.seed, config.herald, side) for side in (0, 1)]
+    truths = _pair_truths(config)
     sides = ("left", "right")
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
@@ -340,8 +356,7 @@ def _reference_omniscient(config):
 
     t0 = 0
     while t0 < total:
-        (gap_left, true_left), (gap_right, true_right) = next(draws[0]), next(draws[1])
-        pending = [t0 + gap_left - 1, t0 + gap_right - 1]
+        pending = [t0 + next(draws[0]) - 1, t0 + next(draws[1]) - 1]
         first = 0 if pending[0] <= pending[1] else 1
         second = 1 - first
         bin, late = pending[first], pending[second]
@@ -362,7 +377,7 @@ def _reference_omniscient(config):
         if late == bin:
             if deadline < total:
                 if bin >= warmup:
-                    if true_left and true_right:
+                    if next(truths):
                         true_pairs += 1
                     else:
                         false_pairs += 1
@@ -491,61 +506,95 @@ class TestHeraldStream:
         configs = [SimConfig(mode=mode, **BLOCK_CASES[case]) for mode in SimMode]
         expected = [des_run(config) for config in configs]
         heralds = sum(stats.heralds_left + stats.heralds_right for stats in expected)
-        uniforms = protocol._uniforms
+        herald_blocks = protocol._herald_blocks
         for block in (1, 7):
             sizes = []
 
-            def counted(bits):
-                drawn = uniforms(bits)
-                sizes.append(len(drawn))
-                return drawn
+            def counted(*args):
+                for gaps in herald_blocks(*args):
+                    sizes.append(len(gaps))
+                    yield gaps
 
             monkeypatch.setattr(protocol, "_BLOCK", block)
-            monkeypatch.setattr(protocol, "_uniforms", counted)
+            monkeypatch.setattr(protocol, "_herald_blocks", counted)
             assert [des_run(config) for config in configs] == expected, block
             # The patched size took effect: every block has it, and every
-            # counted herald drew a gap and a mark.
+            # counted herald drew a gap.
             assert set(sizes) == {block}
-            assert len(sizes) * block >= 2 * heralds
+            assert len(sizes) * block >= heralds
 
     @pytest.mark.parametrize("p_true, p_false", [(0.008, 0.002), (0.2, 0.1)])
-    def test_gaps_and_marks_follow_the_bernoulli_law(self, p_true, p_false):
+    def test_gaps_follow_the_geometric_law(self, p_true, p_false):
         model = HeraldModel(p_true=p_true, p_false=p_false)
-        p, fraction, count = model.p_any, model.true_fraction, 100_000
-        gaps, marks = zip(*itertools.islice(_herald_draws(5, model, 0), count))
+        p, count = model.p_any, 100_000
+        gaps = list(itertools.islice(_herald_draws(5, model, 0), count))
         assert min(gaps) >= 1
         gap_se = math.sqrt((1.0 - p) / p**2 / count)
         assert abs(sum(gaps) / count - 1.0 / p) <= 4.0 * gap_se
-        mark_se = math.sqrt(fraction * (1.0 - fraction) / count)
-        assert abs(sum(marks) / count - fraction) <= 4.0 * mark_se
+
+    @pytest.mark.parametrize("p_true, p_false", [(0.008, 0.002), (0.2, 0.1)])
+    def test_pair_truths_follow_the_bernoulli_law(self, p_true, p_false):
+        """A confirmed pair is true iff both of its heralds are, each with
+        probability ``true_fraction`` and independently of the gaps."""
+        model = HeraldModel(p_true=p_true, p_false=p_false)
+        fraction, count = model.true_fraction**2, 100_000
+        assert model.pair_true_fraction == pytest.approx(fraction, rel=1e-15)
+        true = _true_pairs(5, model, count)
+        se = math.sqrt(fraction * (1.0 - fraction) / count)
+        assert abs(true / count - fraction) <= 4.0 * se
 
     def test_gaps_are_the_scalar_inversion_of_raw_philox_words(self):
         """Each wait is ``max(1, ceil(log1p(-u) / log1p(-p)))`` of a uniform
         built from one raw 64-bit Philox word, the stream numpy keeps fixed
-        across releases, and each mark is ``u < true_fraction`` of the word at
-        the same position in the side's mark stream; the loop here is the
-        scalar reference."""
+        across releases; the loop here is the scalar reference."""
         model = HeraldModel(p_true=0.2, p_false=0.1)
         log_fail = math.log1p(-model.p_any)
         count = 3000
         assert 1 < count / protocol._BLOCK < 2  # spans two blocks
-        gap_words, mark_words = (
-            np.random.Philox(np.random.SeedSequence([5, 1, purpose])).random_raw(count).tolist()
-            for purpose in (0, 1)
-        )
+        words = np.random.Philox(np.random.SeedSequence([5, 1, 0])).random_raw(count).tolist()
         draws = _herald_draws(5, model, 1)
-        for gap_word, mark_word in zip(gap_words, mark_words):
-            gap = max(1, math.ceil(math.log1p(-((gap_word >> 11) * 2**-53)) / log_fail))
-            mark = ((mark_word >> 11) * 2**-53) < model.true_fraction
-            assert next(draws) == (gap, mark)
+        for word in words:
+            gap = max(1, math.ceil(math.log1p(-((word >> 11) * 2**-53)) / log_fail))
+            assert next(draws) == gap
+
+    @pytest.mark.parametrize("p_true, p_false", [(0.2, 0.1), (0.3, 0.003), (0.01, 0.09)])
+    def test_pair_truths_are_the_scalar_test_of_raw_philox_words(self, p_true, p_false):
+        """The j-th counted pair is true iff ``u < true_fraction**2`` for the
+        uniform ``u`` of word j of the stream keyed ``(seed, 2, 1)``; the
+        engines compare the raw words to an integer threshold instead, a
+        block at a time."""
+        model = HeraldModel(p_true=p_true, p_false=p_false)
+        words = np.random.Philox(np.random.SeedSequence([5, 2, 1])).random_raw(5000).tolist()
+        truths = [(word >> 11) * 2**-53 < model.pair_true_fraction for word in words]
+        assert 0 < sum(truths) < len(truths)
+        assert 2 < len(words) / protocol._BLOCK < 3  # spans three blocks
+        for pairs in (0, 1, 2, 7, 500, protocol._BLOCK, protocol._BLOCK + 1, len(words)):
+            assert _true_pairs(5, model, pairs) == sum(truths[:pairs]), pairs
+
+    def test_pair_truth_threshold_is_exact_next_to_a_word(self):
+        """With ``tf**2`` half a step above the uniform of one word, that word
+        is true by ``u < tf**2``; a raw threshold rounded down would call it
+        false.  The word is a small one, so ``tf**2`` can be set that finely."""
+        words = np.random.Philox(np.random.SeedSequence([5, 2, 1])).random_raw(2**15).tolist()
+        j = next(j for j, word in enumerate(words) if word >> 11 < 2**40)
+        root = math.sqrt(((words[j] >> 11) + 0.5) * 2**-53)
+        model = HeraldModel(p_true=root, p_false=1.0 - root)
+        step = words[j] >> 11
+        assert step < model.pair_true_fraction * 2**53 < step + 1
+        truths = [(word >> 11) * 2**-53 < model.pair_true_fraction for word in words[:j]]
+        assert _true_pairs(5, model, j) == sum(truths)
+        assert _true_pairs(5, model, j + 1) == sum(truths) + 1
 
     def test_certain_and_impossible_heralds(self):
         never = HeraldModel(p_true=0.0, p_false=0.0)
         always = HeraldModel(p_true=1.0, p_false=0.0)
         for side in (0, 1):
-            for open_from, (gap, _) in zip((0, 1, 17, 5000), _herald_draws(3, never, side)):
+            for open_from, gap in zip((0, 1, 17, 5000), _herald_draws(3, never, side)):
                 assert open_from + gap - 1 >= _NEVER
-            assert list(itertools.islice(_herald_draws(3, always, side), 5)) == [(1, True)] * 5
+            assert list(itertools.islice(_herald_draws(3, always, side), 5)) == [1] * 5
+        # Every pair of an always-true model is true, and none of a never-true one.
+        assert _true_pairs(3, always, 1000) == 1000
+        assert _true_pairs(3, HeraldModel(p_true=0.0, p_false=0.4), 1000) == 0
 
 
 class TestSimConfig:
@@ -744,6 +793,20 @@ class TestDesRun:
         stats = des_run(SimConfig(trace_limit=7, **LOSSLESS))
         assert len(stats.trace) == 7
 
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_trace_limit_changes_only_the_trace(self, mode):
+        """A long trace makes the omniscient engine play thousands of epochs
+        one at a time, pairs included, before it counts blocks, and the
+        literal engine collect notes for longer; neither may change a count."""
+        config = SimConfig(mode=mode, **{**BLOCK_CASES["many_blocks"], "trace_limit": 0})
+        expected = des_run(config)
+        assert expected.true_coincidences > 0 and expected.false_coincidences > 0
+        for limit in (1, 37, 1000, 10_000):
+            stats = des_run(dataclasses.replace(config, trace_limit=limit))
+            assert len(stats.trace) == limit
+            assert dataclasses.replace(stats, trace=()) == expected, limit
+        assert sum(event == "confirm" for _, _, event in stats.trace) > 1000
+
     def test_trace_csv(self):
         stats = des_run(SimConfig(trace_limit=3, **LOSSLESS))
         buffer = io.StringIO()
@@ -776,9 +839,11 @@ class TestDesRun:
 # (beta_qd_0, beta_qd_1_lossless, no_measured) draw nothing that matters and
 # are as first recorded; the others were recorded on the per-herald Philox
 # draws, and the omniscient ones again when every epoch began to draw both
-# sides afresh (short_run's run came out the same and kept its pin).  Any
-# change to event order, warm-up accounting, the herald draws or the rate
-# arithmetic shows up here as an inequality.
+# sides afresh (short_run's run came out the same and kept its pin).  When
+# pair truths moved to their own stream, the true/false split of five runs
+# changed and was recorded again.  Any change to event order, warm-up
+# accounting, the herald draws or the rate arithmetic shows up here as an
+# inequality.
 GOLDEN_CASES = {
     "p001_n500": dict(beta_qd=0.1, beta_ms=0.1, n=500, total_cycles=1_000_000, seed=11),
     "dark_counts": dict(
@@ -839,12 +904,12 @@ GOLDEN_STATS = {
         tau_c_ns=500.0,
         heralds_left=1655,
         heralds_right=1678,
-        true_coincidences=52,
-        false_coincidences=31,
+        true_coincidences=53,
+        false_coincidences=30,
         one_sided_confirms=0,
         open_fraction=0.258306645316253,
         rate_hz=3322.6581265012,
-        infidelity_estimate=0.37349397590361444,
+        infidelity_estimate=0.3614457831325301,
     ),
     ("dark_counts", "literal"): SimStats(
         mode='literal',
@@ -869,12 +934,12 @@ GOLDEN_STATS = {
         tau_c_ns=500.0,
         heralds_left=301,
         heralds_right=306,
-        true_coincidences=41,
-        false_coincidences=1,
+        true_coincidences=42,
+        false_coincidences=0,
         one_sided_confirms=0,
         open_fraction=0.3169344042838019,
         rate_hz=28112.44979919678,
-        infidelity_estimate=0.023809523809523808,
+        infidelity_estimate=0.0,
         trace=(
             (3, "right", "herald"), (5, "left", "herald"),
             (9, "right", "timeout"), (17, "left", "herald"),
@@ -898,12 +963,12 @@ GOLDEN_STATS = {
         tau_c_ns=500.0,
         heralds_left=305,
         heralds_right=312,
-        true_coincidences=24,
-        false_coincidences=1,
+        true_coincidences=25,
+        false_coincidences=0,
         one_sided_confirms=10,
         open_fraction=0.32028112449799195,
         rate_hz=16733.601070950466,
-        infidelity_estimate=0.04,
+        infidelity_estimate=0.0,
         trace=(
             (3, "right", "herald"), (5, "left", "herald"),
             (9, "left", "mismatch_reset"), (9, "right", "timeout"),
@@ -1007,12 +1072,12 @@ GOLDEN_STATS = {
         tau_c_ns=500.0,
         heralds_left=1778,
         heralds_right=1781,
-        true_coincidences=282,
-        false_coincidences=70,
+        true_coincidences=307,
+        false_coincidences=45,
         one_sided_confirms=0,
         open_fraction=0.10877544210877545,
         rate_hz=23490.156823490153,
-        infidelity_estimate=0.19886363636363635,
+        infidelity_estimate=0.1278409090909091,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
         mode='literal',
@@ -1022,12 +1087,12 @@ GOLDEN_STATS = {
         tau_c_ns=500.0,
         heralds_left=2446,
         heralds_right=2463,
-        true_coincidences=34,
-        false_coincidences=11,
+        true_coincidences=39,
+        false_coincidences=6,
         one_sided_confirms=211,
         open_fraction=0.08892225558892225,
         rate_hz=3003.0030030030025,
-        infidelity_estimate=0.24444444444444444,
+        infidelity_estimate=0.13333333333333333,
     ),
     ("beta_qd_0", "omniscient"): SimStats(
         mode="omniscient",
