@@ -40,12 +40,12 @@ blocks with numpy.
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
 It and its dataclasses, like the per-attempt sampler
 :func:`bsm_attempt_sample`, are a test reference and are not exported from
-:mod:`mpslink`.  The engines do not call it: they index the two sides as
-``0`` (left) and ``1`` (right) and keep per-side state in plain ints, lists
-and tuples, so no object is allocated per event.  The tests drive a loop
-over :func:`receiver_step`, one cycle with an event at a time, as the
-reference the literal engine must match field for field.  Invariant
-violations raise :class:`InvariantError`, also under ``python -O``.
+:mod:`mpslink`.  The engines do not call it and allocate no object per
+event; the literal one keeps each side's state in plain locals that swap, so
+its per-herald rule is written once.  The tests drive a loop over
+:func:`receiver_step`, one cycle with an event at a time, as the reference
+the literal engine must match field for field.  Invariant violations raise
+:class:`InvariantError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -292,20 +292,21 @@ class SimConfig:
     trace_limit: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("beta_qd", "beta_ms", "p_dc", "tau_c_ns"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("beta_qd", "beta_ms", "p_dc"):
             value = getattr(self, name)
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("n", "total_cycles"):
+        for name, low in (("n", 1), ("total_cycles", 1), ("seed", 0), ("trace_limit", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy ints are not JSON numbers
         if self.total_cycles > _NEVER:
             raise ValueError(f"total_cycles must be <= 2**62, got {self.total_cycles!r}")
-        for name in ("seed", "trace_limit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not math.isfinite(self.tau_c_ns) or self.tau_c_ns <= 0:
             raise ValueError(f"tau_c_ns must be positive and finite, got {self.tau_c_ns!r}")
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
@@ -313,7 +314,7 @@ class SimConfig:
         if self.total_cycles < 10 * self.n:
             warnings.warn(
                 "total_cycles below 10*n; equilibrium statistics will be unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod
@@ -659,12 +660,14 @@ def _run_literal(config: SimConfig) -> SimStats:
     Heralds are handled in cycle order, both sides together on a tie.  Every
     input to ``r`` is then known when a herald is handled, so the side's next
     draw is taken at once, and each side takes its draws in the order that
-    :func:`receiver_step` would.  Per side, a deque keeps the heralds whose
-    announcements can still reach the other side.  A confirm needs the other
-    side to herald in the same cycle, so pairs and one-sided confirms come
-    only from ties.  Heralds carry no truth: :func:`_true_pairs` splits the
-    counted pairs once the run is over.  Both sides are open outside the
-    holds ``(b, r]``.
+    :func:`receiver_step` would.  Side ``me`` heralds next and ``you`` is the
+    other: each side's index, next herald, deque of landing cycles ``h + n``
+    that can still reset the other side, draw function and herald count are
+    locals that swap when ``you`` leads, so the single-side rule appears
+    once.  A confirm needs the other side to herald in the same cycle, so
+    pairs and one-sided confirms come only from ties.  Heralds carry no
+    truth: :func:`_true_pairs` splits the counted pairs once the run is over.
+    Both sides are open outside the holds ``(b, r]``.
 
     The trace is rebuilt from the heralds, the resets, and the announcements
     that reset nobody and land on an open side (``stale_ignored``), in the
@@ -674,12 +677,11 @@ def _run_literal(config: SimConfig) -> SimStats:
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     trace_limit = config.trace_limit
-    draws = [_herald_draws(config.seed, config.herald, side).__next__ for side in (0, 1)]
-    heralds = [0, 0]
-    pairs = one_sided = both_open = 0
-    next_herald = [draws[0]() - 1, draws[1]() - 1]
-    # Per side, its heralds whose announcements can still reach the other side.
-    sent: tuple[deque[int], ...] = (deque(), deque())
+    me, you = 0, 1  # me heralds next; the sides' locals swap when you leads
+    draw_me, draw_you = (_herald_draws(config.seed, config.herald, s).__next__ for s in (0, 1))
+    next_me, next_you = draw_me() - 1, draw_you() - 1
+    sent_me, sent_you = deque(), deque()  # landings h + n that may still reset the other side
+    heralds_me = heralds_you = pairs = one_sided = both_open = 0
     closed_to = -1  # last cycle of the holds handled so far
 
     # Trace notes as (cycle, side, order, event): in one cycle a side's reset
@@ -689,17 +691,22 @@ def _run_literal(config: SimConfig) -> SimStats:
     resetting: set[tuple[int, int]] = set()  # (side, bin) of announcements that reset
     tracing = trace_limit > 0
 
-    def note_hold(side: int, b: int, h: int | None, r: int, event: str) -> None:
+    def note_hold(side: int, b: int, r: int, event: str) -> None:
         noted.append((side, b))
         notes.append((b, side, 1, "herald"))
         if r < total:
             notes.append((r, side, 0, event))
-        if h is not None:
-            resetting.add((1 - side, h))
+        if event != "timeout":
+            resetting.add((1 - side, r - n))
 
     while True:
-        left, right = next_herald
-        b = left if left <= right else right
+        if next_you < next_me:  # one pair per line: cheaper than longer tuple assignments
+            me, you = you, me
+            next_me, next_you = next_you, next_me
+            sent_me, sent_you = sent_you, sent_me
+            draw_me, draw_you = draw_you, draw_me
+            heralds_me, heralds_you = heralds_you, heralds_me
+        b = next_me
         if b >= total:
             break
         if tracing and len(noted) >= trace_limit:
@@ -710,50 +717,38 @@ def _run_literal(config: SimConfig) -> SimStats:
             lo = closed_to + 1 if closed_to >= warmup else warmup
             if b >= lo:
                 both_open += b - lo + 1
+        if b >= warmup:
+            heralds_me += 1
+        deadline = b + n  # also when the announcement of b lands
 
-        if left != right:  # one side heralds
-            side = 0 if left < right else 1
-            sent[side].append(b)
-            theirs = sent[1 - side]
-            while theirs and theirs[0] <= b - n:
-                theirs.popleft()
-            if theirs:
-                h = theirs[0]
-                r, event = h + n, "mismatch_reset"
-            else:
-                h, r, event = None, b + n, "timeout"
-            if b >= warmup:
-                heralds[side] += 1
+        if b != next_you:  # me heralds alone
+            sent_me.append(deadline)
+            while sent_you and sent_you[0] <= b:
+                sent_you.popleft()
+            r = sent_you[0] if sent_you else deadline
             if r > closed_to:
                 closed_to = r
             if tracing:
-                note_hold(side, b, h, r, event)
-            next_herald[side] = r + draws[side]()
+                note_hold(me, b, r, "timeout" if r == deadline else "mismatch_reset")
+            next_me = r + draw_me()
             continue
 
-        # Both sides herald at b; each sees the other's earliest herald in (b - n, b].
-        sent[0].append(b)
-        sent[1].append(b)
-        confirms = 0
-        for side in (0, 1):
-            theirs = sent[1 - side]
-            while theirs[0] <= b - n:
+        # Both sides herald at b; each resets on the other's first landing after b.
+        sent_me.append(deadline)
+        sent_you.append(deadline)
+        for theirs in sent_me, sent_you:
+            while theirs[0] <= b:
                 theirs.popleft()
-            h = theirs[0]
-            r = h + n
-            if h == b:
-                event = "confirm"
-                confirms += 1
-            else:
-                event = "mismatch_reset"
-            if b >= warmup:
-                heralds[side] += 1
-            if r > closed_to:
-                closed_to = r
-            if tracing:
-                note_hold(side, b, h, r, event)
-            next_herald[side] = r + draws[side]()
-        if confirms and b + n < total:
+        r_me, r_you = sent_you[0], sent_me[0]
+        closed_to = max(closed_to, r_me, r_you)
+        if b >= warmup:
+            heralds_you += 1
+        if tracing:
+            for side, r in (me, r_me), (you, r_you):
+                note_hold(side, b, r, "confirm" if r == deadline else "mismatch_reset")
+        next_me, next_you = r_me + draw_me(), r_you + draw_you()
+        confirms = (r_me == deadline) + (r_you == deadline)
+        if confirms and deadline < total:
             if confirms == 1:
                 # The other side was reset by an earlier announcement and its
                 # spin is gone; the lone confirmation yields no pair.
@@ -761,6 +756,7 @@ def _run_literal(config: SimConfig) -> SimStats:
             elif b >= warmup:
                 pairs += 1
 
+    heralds = [heralds_me, heralds_you] if me == 0 else [heralds_you, heralds_me]
     both_open += _open_cycles(closed_to + 1, total - 1, warmup, total)
     for side, c in noted:
         if (side, c) not in resetting and c + n < total:

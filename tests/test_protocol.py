@@ -523,6 +523,47 @@ class TestHeraldStream:
             assert set(sizes) == {block}
             assert len(sizes) * block >= heralds
 
+    def test_swapped_streams_mirror_the_run(self, monkeypatch):
+        """Side ``s`` drawing side ``1 - s``'s gaps mirrors the run: the herald
+        counts trade places and the trace swaps left and right.  This pins the
+        literal engine's swapped per-side locals, whichever side ends the run."""
+        rng = random.Random(20134)
+        cap = 10**6  # above every run's event count, so the whole trace is kept
+        configs = [
+            SimConfig(mode=mode, **{**BLOCK_CASES[case], "trace_limit": cap})
+            for case in sorted(BLOCK_CASES)
+            for mode in SimMode
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some runs are shorter than 10n
+            configs += [
+                dataclasses.replace(_random_small_config(rng, mode), trace_limit=cap)
+                for mode in SimMode
+                for _ in range(50)
+            ]
+        runs = [des_run(config) for config in configs]
+        herald_blocks = protocol._herald_blocks
+        monkeypatch.setattr(
+            protocol, "_herald_blocks", lambda seed, model, side: herald_blocks(seed, model, 1 - side)
+        )
+        mirror = {"left": "right", "right": "left", "both": "both"}
+        for config, stats in zip(configs, runs):
+            swapped = des_run(config)
+            assert len(stats.trace) < cap
+            assert (swapped.heralds_left, swapped.heralds_right) == (
+                stats.heralds_right, stats.heralds_left
+            ), config
+            others = dict(heralds_left=stats.heralds_left, heralds_right=stats.heralds_right)
+            assert dataclasses.replace(swapped, **others, trace=stats.trace) == stats, config
+            assert sorted((c, mirror[side], e) for c, side, e in swapped.trace) == sorted(
+                stats.trace
+            ), config
+        # The check is not vacuous: runs have ties and unequal sides.
+        small = runs[2 * len(BLOCK_CASES):]
+        assert sum(s.true_coincidences + s.false_coincidences > 0 for s in small) >= 10
+        assert any(s.one_sided_confirms for s in small)
+        assert sum(s.heralds_left != s.heralds_right for s in small) >= 20
+
     @pytest.mark.parametrize("p_true, p_false", [(0.008, 0.002), (0.2, 0.1)])
     def test_gaps_follow_the_geometric_law(self, p_true, p_false):
         model = HeraldModel(p_true=p_true, p_false=p_false)
@@ -639,6 +680,28 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="^trace_limit must be an integer >= 0"):
                 SimConfig(trace_limit=trace_limit, **LOSSLESS)
 
+    @pytest.mark.parametrize("name", ["beta_qd", "beta_ms", "p_dc", "tau_c_ns"])
+    def test_rejects_non_real_inputs(self, name):
+        """The real fields follow the integer fields' rule: a bool used to run
+        as 0 or 1, and a string raised a TypeError that named no key."""
+        for value in (True, False, "0.25"):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                SimConfig(**{**LOSSLESS, name: value})
+        assert getattr(SimConfig(**{**LOSSLESS, name: np.float64(0.25)}), name) == 0.25
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_numpy_integers_serialise(self, mode):
+        """numpy ints are stored as ints: ``cycles_run`` used to keep an
+        ``np.int64``, which ``json`` cannot write."""
+        counts = dict(n=5, total_cycles=2000, seed=11, trace_limit=3)
+        config = SimConfig(
+            beta_qd=0.5, beta_ms=0.5, mode=mode, **{k: np.int64(v) for k, v in counts.items()}
+        )
+        assert all(type(getattr(config, key)) is int for key in counts)
+        plain = SimConfig(beta_qd=0.5, beta_ms=0.5, mode=mode, **counts)
+        assert config == plain
+        assert des_run(config).to_json() == des_run(plain).to_json()
+
     def test_rejects_runs_past_the_cycle_limit(self):
         """Heralds that never come are placed at or after cycle 2**62; a
         longer run counted one per side there and confirmed a pair."""
@@ -646,8 +709,10 @@ class TestSimConfig:
             SimConfig(beta_qd=0.0, beta_ms=0.5, n=10, total_cycles=_NEVER + 100)
 
     def test_warns_on_short_run(self):
-        with pytest.warns(UserWarning):
+        """The warning points at the caller's line, not the dataclass ``__init__``."""
+        with pytest.warns(UserWarning) as record:
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500)
+        assert [warning.filename for warning in record] == [__file__]
 
     def test_from_hardware_square_profile(self):
         config = SimConfig.from_hardware(
