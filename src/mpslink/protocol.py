@@ -15,16 +15,15 @@ Two information models are implemented:
   each instantly knew about the other's heralds, reproducing the Markov
   chain of :mod:`mpslink.markov` exactly.
 
-Attempts are independent per cycle, so a receiver's wait from reopening
-to its next herald is geometric and is drawn in one step.  Each side's
-waits come from a Philox stream keyed by (seed, side), drawn ahead in
-blocks.  A herald is true with probability ``tf = true_fraction``
-independently of its wait, so a confirmed pair is true with probability
-``tf**2``, and only confirmed pairs need a truth at all: the run's j-th
-counted pair takes word j of one more Philox stream, keyed apart from the
-sides'.  Equal configs give bit-identical runs.
+Attempts are independent per cycle, so a wait for a herald is geometric
+and is drawn in one step, from a keyed Philox stream drawn ahead in blocks.
+A herald is true with probability ``tf = true_fraction`` independently of
+its wait, so a confirmed pair is true with probability ``tf**2``, and only
+confirmed pairs need a truth at all: the run's j-th counted pair takes word
+j of a stream of its own.  Equal configs give bit-identical runs.
 
-The literal engine takes one step per herald.  Announcements land in bin
+The literal engine takes one step per herald and draws each side's waits
+from a stream keyed by (seed, side).  Announcements land in bin
 order, so a side that heralds at ``b`` resets at ``r = h + n``, where
 ``h`` is the other side's earliest herald in ``(b - n, b]``, or at its
 deadline ``b + n`` if there is no such herald.  The reset is a confirm if
@@ -33,8 +32,11 @@ deadline ``b + n`` if there is no such herald.  The reset is a confirm if
 so ``r`` and the side's next herald are known as soon as ``b`` is handled.
 The omniscient engine is a renewal sampler (Ross, *Stochastic Processes*,
 ch. 3).  Its epochs run from both sides open to both sides reopening and
-are independent, so it draws them a block at a time and counts whole
-blocks with numpy.
+are independent.  An epoch needs only its first herald's wait, of law
+``Geom(1 - q**2)`` with ``q = 1 - p``, and one category word: a tie
+(``a = p / (2 - p)``), or one side first (``s = (1 - p) / (2 - p)`` each) with
+the other heralding within ``n`` cycles (``c = 1 - q**n``) or not.  Blocks of
+epochs are drawn ahead and counted whole with numpy.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -54,6 +56,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass, fields
@@ -296,6 +299,7 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # numpy floats, as the ints below
         for name in ("beta_qd", "beta_ms", "p_dc"):
             value = getattr(self, name)
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
@@ -312,9 +316,12 @@ class SimConfig:
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
             raise ValueError("p_dc too large: per-attempt dark acceptance exceeds 1")
         if self.total_cycles < 10 * self.n:
+            level, frame = 1, sys._getframe()  # the caller of __init__, from_hardware, replace
+            while frame.f_back and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "total_cycles below 10*n; equilibrium statistics will be unreliable",
-                stacklevel=3,
+                stacklevel=level,
             )
 
     @classmethod
@@ -408,57 +415,51 @@ def write_trace_csv(stats: SimStats, destination) -> None:
 _SIDE_KEYS = tuple(side.value for side in Side)
 
 # SeedSequence keys: a side's gaps are (seed, side, _GAP), the pair truths
-# (seed, _BOTH, _TRUTH).
-_GAP, _TRUTH = 0, 1
+# (seed, _BOTH, _TRUTH), and an omniscient epoch's first gap and category
+# (seed, _BOTH, _GAP) and (seed, _BOTH, _ORDER).
+_GAP, _TRUTH, _ORDER = 0, 1, 2
 _BOTH = 2
 
 
-# Gaps drawn ahead per side.
+# Gaps drawn ahead per literal side, and epochs per omniscient run.
 _BLOCK = 2**11
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _geometric_gaps(words: np.ndarray, log_fail: float, cap: float, out: np.ndarray) -> np.ndarray:
+    """Waits ``ceil(log1p(-u) / log_fail)`` in ``[1, cap]`` (int64) of raw words ``w``, with
+    ``u = (w >> 11) * 2**-53``; ``words`` is overwritten and ``out`` is a float buffer."""
+    words >>= 11
+    np.multiply(words, -(2.0**-53), out=out)  # -u, exactly
+    np.log1p(out, out=out)
+    np.divide(out, log_fail, out=out)
+    np.ceil(out, out=out)
+    np.maximum(out, 1.0, out=out)
+    np.minimum(out, cap, out=out)
+    return out.astype(np.int64)
+
+
 def _herald_blocks(seed: int, model: HeraldModel, side: int) -> Iterator[np.ndarray]:
-    """Per-side herald process in blocks of ``_BLOCK`` gaps (int64).
+    """Per-side herald process in blocks of ``_BLOCK`` gaps (int64); sides 0 (left), 1 (right).
 
-    A receiver attempts every cycle with probability ``p_any``, and the
-    attempts are independent, so the wait from its reopening cycle
-    ``open_from`` to its first success is geometric: the herald lands at
-    ``open_from + gap - 1``, one inversion draw skips the failed cycles, and
-    no attempt made while the side was closed is ever drawn.  Gaps are
-    capped at ``_GAP_CAP``, past every run.  Sides are the engine indices 0
-    (left) and 1 (right).
-
-    Each side's gaps come from a Philox stream (Salmon et al., SC'11) keyed
-    by ``(seed, side, _GAP)``.  Its k-th herald takes the k-th word, so a run
-    does not depend on the block size ``_BLOCK`` in which they are drawn
-    ahead.  A word ``w`` gives the uniform ``u = (w >> 11) * 2**-53``.  The
-    raw 64-bit Philox words are a stream numpy keeps fixed across releases
-    (NEP 19), so equal configs give bit-identical runs.
+    A receiver attempts every cycle with probability ``p_any``, independently,
+    so its wait from reopening at ``open_from`` is geometric: the herald lands
+    at ``open_from + gap - 1``, and no attempt made while the side was closed
+    is drawn.  Gaps are capped at ``_GAP_CAP``, past every run.  A side's k-th
+    herald takes word k of the Philox stream (Salmon et al., SC'11) keyed by
+    ``(seed, side, _GAP)``, so a run does not depend on ``_BLOCK``; numpy keeps
+    raw Philox words fixed across releases (NEP 19).
     """
     p = model.p_any
     if p <= 0.0:
         while True:
             yield np.full(_BLOCK, _GAP_CAP, np.int64)
-    if p >= 1.0:
-        while True:
-            yield np.ones(_BLOCK, np.int64)  # every cycle succeeds
     bits = np.random.Philox(np.random.SeedSequence([seed, side, _GAP]))
-    log_fail = math.log1p(-p)
-    # ceil(log1p(-u) / log_fail), clipped to [1, _GAP_CAP], in one buffer.
+    log_fail = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 1
     buffer = np.empty(_BLOCK)
     while True:
-        words = bits.random_raw(_BLOCK)
-        words >>= 11
-        np.multiply(words, 2.0**-53, out=buffer)
-        np.negative(buffer, out=buffer)
-        np.log1p(buffer, out=buffer)
-        np.divide(buffer, log_fail, out=buffer)
-        np.ceil(buffer, out=buffer)
-        np.maximum(buffer, 1.0, out=buffer)
-        np.minimum(buffer, _GAP_CAP, out=buffer)
-        yield buffer.astype(np.int64)
+        yield _geometric_gaps(bits.random_raw(_BLOCK), log_fail, _GAP_CAP, buffer)
 
 
 def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[int]:
@@ -489,10 +490,8 @@ def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
         return pairs
     bits = np.random.Philox(np.random.SeedSequence([seed, _BOTH, _TRUTH]))
     below = np.uint64(math.ceil(fraction * 2.0**53) << 11)
-    true = 0
-    for drawn in range(0, pairs, _BLOCK):
-        true += int(np.count_nonzero(bits.random_raw(min(_BLOCK, pairs - drawn)) < below))
-    return true
+    chunks = (bits.random_raw(min(_BLOCK, pairs - drawn)) for drawn in range(0, pairs, _BLOCK))
+    return sum(_count_below(chunk, below) for chunk in chunks)
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
@@ -536,44 +535,89 @@ def _sim_stats(
     )
 
 
+def _epoch_bounds(p: float, log_q: float, n: int) -> tuple[int, int, int, int]:
+    """Category ends ``T = ceil(t * 2**53)``: a word's ``w >> 11 < T`` iff its ``u < t``."""
+    c = -math.expm1(n * log_q)
+    a = p / (2.0 - p)
+    s = (1.0 - a) / 2.0  # (1 - p) / (2 - p); a + 2 s rounds to 1
+    sc = s * c
+    return tuple(math.ceil(t * 2.0**53) for t in (a, a + sc, a + 2.0 * sc, a + (s + sc)))
+
+
+def _late_offset(place: float, log_q: float, n: int) -> int:
+    """The later herald's offset, the geometric law on ``[1, n]`` inverted at ``place``."""
+    return min(n, max(1, math.ceil(math.log1p(place * math.expm1(n * log_q)) / log_q)))
+
+
+def _count_below(words: np.ndarray, bound: np.uint64 | None) -> int:
+    """How many raw words lie below ``bound``; ``None`` is 2**64, above them all."""
+    return len(words) if bound is None else int(np.count_nonzero(words < bound))
+
+
+def _epoch_blocks(seed: int, log_q: float, cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Epoch k's first-herald gap, ``Geom(1 - q**2)`` capped at ``cap``, and raw category word:
+    word k of the streams keyed ``(seed, _BOTH, _GAP)`` and ``(seed, _BOTH, _ORDER)``."""
+    gap_bits, word_bits = (
+        np.random.Philox(np.random.SeedSequence([seed, _BOTH, key])) for key in (_GAP, _ORDER)
+    )
+    buffer = np.empty(_BLOCK)
+    while True:
+        gaps = _geometric_gaps(gap_bits.random_raw(_BLOCK), 2.0 * log_q, cap, buffer)
+        yield gaps, word_bits.random_raw(_BLOCK)
+
+
 def _run_omniscient(config: SimConfig) -> SimStats:
     """Renewal sampler of the omniscient joint rule, one block of epochs at a time.
 
-    An epoch starts at ``t0`` with both sides open.  Each side's wait for its
-    next herald is geometric and memoryless, so both are drawn afresh from
-    ``t0``: epoch ``k`` takes the ``k``-th gap of each side's stream.  The
-    first herald closes its side for ``n`` cycles and both sides reopen
-    together right after its deadline, so the epoch lasts ``min(gaps) + n``
-    cycles.  Equal gaps confirm a pair at the deadline; :func:`_true_pairs`
-    splits the counted pairs into true and false once the run is over.  An
-    unequal later herald counts iff it lands by the deadline, that is iff
-    the gaps differ by at most ``n``, and is then discarded.
+    An epoch starts at ``t0`` with both sides open.  Its first herald closes
+    that side for ``n`` cycles and both reopen right after the deadline, so
+    the epoch lasts ``M + n`` cycles, with ``M ~ Geom(1 - q**2)`` and
+    ``q = 1 - p``.  Given ``M``, it is a tie with probability
+    ``a = p / (2 - p)``; otherwise one side is first, each with
+    ``s = (1 - p) / (2 - p)``, and the other, whose wait is memoryless,
+    heralds within ``n`` cycles with ``c = 1 - q**n``.  Epoch ``k`` takes
+    ``M`` and a category word from :func:`_epoch_blocks`, whose uniform
+    falls into five intervals, in order: a tie, left first with the right
+    within ``n``, right first with the left within ``n`` (``s c`` each), left
+    first alone and right first alone (``s (1 - c)`` each).  A tie confirms
+    a pair, split by :func:`_true_pairs`; a later herald within ``n`` counts.
 
-    Epochs that lie wholly in the measured cycles are counted over each
-    block with ``cumsum``, masks of the gap differences and
-    ``count_nonzero``.  The warm-up epochs, those that take trace notes, the
-    epoch that ends the run, and blocks whose ends could pass int64 go
-    through ``epoch``, one at a time.
+    A block's measured epochs are counted by the ends of :func:`_epoch_bounds`:
+    left heralds below the fourth, right ones below the third or from the
+    fourth on, and pairs below the first.  The warm-up epochs, those that
+    take trace notes, the last one and blocks whose ends could pass int64 go
+    through ``epoch``, which places a later herald by its word's place.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    p = config.herald.p_any
+    if p <= 0.0:  # no side ever heralds
+        return _sim_stats(config, SimMode.OMNISCIENT, [0, 0], 0, 0, 0, total - warmup, [])
     trace_limit = config.trace_limit
     heralds = [0, 0]
     pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log q = log(1 - p)
+    bounds = tie, left_soon, soon, left_alone = _epoch_bounds(p, log_q, n)
 
     def note(cycle: int, side: str, event: str) -> None:
         if len(trace) < trace_limit:
             trace.append((cycle, side, event))
 
-    def epoch(t0: int, gap_left: int, gap_right: int) -> int:
+    def epoch(t0: int, gap: int, word: int) -> int:
         """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
         nonlocal pairs, both_open
-        first = 1 if gap_right < gap_left else 0
-        bin = t0 + min(gap_left, gap_right) - 1
-        late = t0 + max(gap_left, gap_right) - 1
+        bin = t0 + gap - 1
         both_open += _open_cycles(t0, bin, warmup, total)
         if bin >= total:
             return total
+        m = word >> 11
+        if m < tie:
+            first, late = 0, bin
+        elif m < soon:
+            first, lo, hi = (0, tie, left_soon) if m < left_soon else (1, left_soon, soon)
+            late = bin + _late_offset((m - lo) / (hi - lo), log_q, n)
+        else:
+            first, late = (0 if m < left_alone else 1), bin + n + 1
         if bin >= warmup:
             heralds[first] += 1
         note(bin, _SIDE_KEYS[first], "herald")
@@ -591,51 +635,46 @@ def _run_omniscient(config: SimConfig) -> SimStats:
             note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
         return end + 1
 
+    # A first gap past total lands past the run from any start, so a cap >= total + 1 is exact.
+    cap = total + 1.0 if total < 2**53 else math.nextafter(float(total), math.inf)
+    longest = int(cap) + n
+
     def one_at_a_time(t0: int, size: int) -> bool:
         """Whether the next epoch of a block of ``size`` goes through ``epoch``."""
-        return t0 < warmup or len(trace) < trace_limit or t0 + size * total > _INT64_MAX
+        return t0 < warmup or len(trace) < trace_limit or t0 + size * longest > _INT64_MAX
 
-    # An epoch lasts min(gaps) + n cycles.  Blocks reach numpy only after the
-    # warm-up of 2n cycles, so n < total there, and capping the gap at
-    # ``total - n`` keeps each length at most ``total`` and exact whenever the
-    # epoch ends inside the run.
-    gap_len = total - n
-    blocks = zip(*(_herald_blocks(config.seed, config.herald, side) for side in (0, 1)))
+    word_bounds = [np.uint64(bound << 11) if bound < 2**53 else None for bound in bounds]
     t0 = 0
-    for gaps_left, gaps_right in blocks:
-        size = len(gaps_left)
+    for gaps, words in _epoch_blocks(config.seed, log_q, cap):
+        size = len(gaps)
         if one_at_a_time(t0, size):
             done = 0
             while done < size and t0 < total and one_at_a_time(t0, size):
-                t0 = epoch(t0, gaps_left.item(done), gaps_right.item(done))
+                t0 = epoch(t0, gaps.item(done), words.item(done))
                 done += 1
             if t0 >= total:
                 break
             if done == size:
                 continue
-            gaps_left, gaps_right = gaps_left[done:], gaps_right[done:]
-        lengths = np.minimum(gaps_left, gaps_right)
-        np.minimum(lengths, gap_len, out=lengths)
-        lengths += n
+            gaps, words = gaps[done:], words[done:]
         # Epochs [0, k) start after the warm-up and end at ``end``, inside the run.
-        end = t0 + int(lengths.sum())
-        k = len(lengths)
+        k = len(gaps)
+        end = t0 + int(gaps.sum()) + k * n
         if end >= total:
-            ends = np.cumsum(lengths)
+            ends = np.cumsum(gaps + n)
             ends += t0
             k = int(np.searchsorted(ends, total))
             end = int(ends[k - 1]) if k else t0
         if k:
-            # The later herald lands by the first one's deadline iff the gaps
-            # differ by at most n.
-            diffs = gaps_left[:k] - gaps_right[:k]
-            heralds[0] += int(np.count_nonzero(diffs <= n))
-            heralds[1] += int(np.count_nonzero(diffs >= -n))
-            pairs += int(np.count_nonzero(diffs == 0))
-            both_open += end - t0 - k * n  # each epoch is open for min(gaps) cycles
+            counted = words[:k]
+            left = _count_below(counted, word_bounds[3])
+            heralds[0] += left
+            heralds[1] += _count_below(counted, word_bounds[2]) + k - left
+            pairs += _count_below(counted, word_bounds[0])
+            both_open += end - t0 - k * n  # each epoch is open for M cycles
             t0 = end
-        if k < len(lengths):  # epoch k ends the run
-            epoch(t0, gaps_left.item(k), gaps_right.item(k))
+        if k < len(gaps):  # epoch k ends the run
+            epoch(t0, gaps.item(k), words.item(k))
             break
     true_pairs = _true_pairs(config.seed, config.herald, pairs)
     return _sim_stats(

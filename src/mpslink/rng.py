@@ -4,9 +4,11 @@ Every value is a SHA-256 function of the root seed plus a tuple of
 integers/strings naming the consumer.  Identical keys therefore yield
 identical values in any run, on any platform, and independent of how many
 other draws happened before.  :func:`derive_seed` gives each point of a
-``cli`` sweep its own simulation seed.  The simulation itself draws its
-herald process from numpy's Philox generator (``protocol._herald_blocks``);
-no package code calls :func:`u01`.
+``cli`` sweep its own simulation seed.  The simulation itself draws from
+numpy's Philox generator: the literal engine's per-side waits
+(``protocol._herald_blocks``), the omniscient engine's epochs
+(``protocol._epoch_blocks``) and the pair truths; no package code calls
+:func:`u01`.
 """
 
 from __future__ import annotations
