@@ -16,7 +16,7 @@ Two information models are implemented:
   chain of :mod:`mpslink.markov` exactly.
 
 Attempts are independent per cycle, so a wait for a herald is geometric
-and is drawn in one step, from a keyed Philox stream drawn ahead in blocks.
+and is drawn in one step, from a keyed Philox stream.
 A herald is true with probability ``tf = true_fraction`` independently of
 its wait, so a confirmed pair is true with probability ``tf**2``, and only
 confirmed pairs need a truth at all: the run's j-th counted pair takes word
@@ -33,10 +33,10 @@ so ``r`` and the side's next herald are known as soon as ``b`` is handled.
 The omniscient engine is a renewal sampler (Ross, *Stochastic Processes*,
 ch. 3).  Its epochs run from both sides open to both sides reopening and
 are independent.  An epoch needs only its first herald's wait, of law
-``Geom(1 - q**2)`` with ``q = 1 - p``, and one category word: a tie
-(``a = p / (2 - p)``), or one side first (``s = (1 - p) / (2 - p)`` each) with
-the other heralding within ``n`` cycles (``c = 1 - q**n``) or not.  Blocks of
-epochs are drawn ahead and counted whole with numpy.
+``Geom(1 - q**2)`` with ``q = 1 - p``, and its outcome, independent of the
+wait: a tie, or one side first with the other heralding within ``n`` cycles
+or not.  So a chunk of epochs is drawn whole, as its summed waits and its
+outcome counts; epochs placed one at a time are drawn given those sums.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -52,6 +52,7 @@ the literal engine must match field for field.  Invariant violations raise
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -89,10 +90,6 @@ _GAP_CAP = int(math.nextafter(float(_NEVER), math.inf))
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-    @property
-    def other(self) -> "Side":
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
 class HeraldKind(Enum):
@@ -313,6 +310,8 @@ class SimConfig:
             raise ValueError(f"total_cycles must be <= 2**62, got {self.total_cycles!r}")
         if not math.isfinite(self.tau_c_ns) or self.tau_c_ns <= 0:
             raise ValueError(f"tau_c_ns must be positive and finite, got {self.tau_c_ns!r}")
+        if self.tau_c_ns * 1e-9 < sys.float_info.min:  # the rate divides by it
+            raise ValueError(f"tau_c_ns * 1e-9 s must be a normal float, got {self.tau_c_ns!r}")
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
             raise ValueError("p_dc too large: per-attempt dark acceptance exceeds 1")
         if self.total_cycles < 10 * self.n:
@@ -415,29 +414,14 @@ def write_trace_csv(stats: SimStats, destination) -> None:
 _SIDE_KEYS = tuple(side.value for side in Side)
 
 # SeedSequence keys: a side's gaps are (seed, side, _GAP), the pair truths
-# (seed, _BOTH, _TRUTH), and an omniscient epoch's first gap and category
-# (seed, _BOTH, _GAP) and (seed, _BOTH, _ORDER).
+# (seed, _BOTH, _TRUTH), an omniscient run's epochs (seed, _BOTH, _GAP) and
+# the epochs a traced omniscient run expands (seed, _BOTH, _ORDER).
 _GAP, _TRUTH, _ORDER = 0, 1, 2
 _BOTH = 2
 
 
-# Gaps drawn ahead per literal side, and epochs per omniscient run.
+# Gaps drawn ahead per literal side, and pair truths per draw.
 _BLOCK = 2**11
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _geometric_gaps(words: np.ndarray, log_fail: float, cap: float, out: np.ndarray) -> np.ndarray:
-    """Waits ``ceil(log1p(-u) / log_fail)`` in ``[1, cap]`` (int64) of raw words ``w``, with
-    ``u = (w >> 11) * 2**-53``; ``words`` is overwritten and ``out`` is a float buffer."""
-    words >>= 11
-    np.multiply(words, -(2.0**-53), out=out)  # -u, exactly
-    np.log1p(out, out=out)
-    np.divide(out, log_fail, out=out)
-    np.ceil(out, out=out)
-    np.maximum(out, 1.0, out=out)
-    np.minimum(out, cap, out=out)
-    return out.astype(np.int64)
 
 
 def _herald_blocks(seed: int, model: HeraldModel, side: int) -> Iterator[np.ndarray]:
@@ -457,9 +441,21 @@ def _herald_blocks(seed: int, model: HeraldModel, side: int) -> Iterator[np.ndar
             yield np.full(_BLOCK, _GAP_CAP, np.int64)
     bits = np.random.Philox(np.random.SeedSequence([seed, side, _GAP]))
     log_fail = math.log1p(-p) if p < 1.0 else -math.inf  # p = 1: every gap is 1
-    buffer = np.empty(_BLOCK)
+    gaps = np.empty(_BLOCK)
     while True:
-        yield _geometric_gaps(bits.random_raw(_BLOCK), log_fail, _GAP_CAP, buffer)
+        # gap = ceil(log1p(-u) / log_fail) in [1, _GAP_CAP], u = (w >> 11) * 2**-53
+        words = bits.random_raw(_BLOCK)
+        words >>= 11
+        np.multiply(words, -(2.0**-53), out=gaps)  # -u, exactly
+        np.log1p(gaps, out=gaps)
+        # Quotients past 2**64 are capped anyway; clipping the dividend at the
+        # exact log_fail * 2**64 keeps them finite for p below about 1e-307.
+        np.maximum(gaps, log_fail * 2.0**64, out=gaps)
+        np.divide(gaps, log_fail, out=gaps)
+        np.ceil(gaps, out=gaps)
+        np.maximum(gaps, 1.0, out=gaps)
+        np.minimum(gaps, _GAP_CAP, out=gaps)
+        yield gaps.astype(np.int64)
 
 
 def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[int]:
@@ -491,7 +487,7 @@ def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
     bits = np.random.Philox(np.random.SeedSequence([seed, _BOTH, _TRUTH]))
     below = np.uint64(math.ceil(fraction * 2.0**53) << 11)
     chunks = (bits.random_raw(min(_BLOCK, pairs - drawn)) for drawn in range(0, pairs, _BLOCK))
-    return sum(_count_below(chunk, below) for chunk in chunks)
+    return sum(int(np.count_nonzero(chunk < below)) for chunk in chunks)
 
 
 def _open_cycles(lo: int, hi: int, warmup: int, total: int) -> int:
@@ -535,89 +531,110 @@ def _sim_stats(
     )
 
 
-def _epoch_bounds(p: float, log_q: float, n: int) -> tuple[int, int, int, int]:
-    """Category ends ``T = ceil(t * 2**53)``: a word's ``w >> 11 < T`` iff its ``u < t``."""
-    c = -math.expm1(n * log_q)
-    a = p / (2.0 - p)
-    s = (1.0 - a) / 2.0  # (1 - p) / (2 - p); a + 2 s rounds to 1
-    sc = s * c
-    return tuple(math.ceil(t * 2.0**53) for t in (a, a + sc, a + 2.0 * sc, a + (s + sc)))
+# The side that heralds first in each epoch outcome: a tie, left first with
+# the right within n, right first with the left within n, then either alone.
+_FIRST = (0, 0, 1, 0, 1)
+# A chunk of k epochs has k E[L] + _Z sd(M) sqrt(k) within the cycles left.
+_Z = 4.0
 
 
-def _late_offset(place: float, log_q: float, n: int) -> int:
-    """The later herald's offset, the geometric law on ``[1, n]`` inverted at ``place``."""
-    return min(n, max(1, math.ceil(math.log1p(place * math.expm1(n * log_q)) / log_q)))
+class _EpochDraws:
+    """An omniscient run's epoch draws, from one Philox stream keyed ``(seed, _BOTH, _GAP)``.
 
+    The waits ``M ~ Geom(r)``, ``r = 1 - q**2``, of ``k`` epochs sum to
+    ``k + NB(k, r)``; their outcome counts, independent of the waits, are
+    ``multinomial(k, law)``.  Given its sum, the waits are a uniform
+    composition of it into ``k`` parts, so the first ``h`` sum to ``h`` plus a
+    beta-binomial of the excess with shapes ``(h, k - h)``; given the counts,
+    the outcomes are a uniform arrangement of them.  NEP 19 freezes numpy's
+    raw Philox words, not ``Generator``'s distributions, so omniscient runs
+    depend on numpy's algorithms.
+    """
 
-def _count_below(words: np.ndarray, bound: np.uint64 | None) -> int:
-    """How many raw words lie below ``bound``; ``None`` is 2**64, above them all."""
-    return len(words) if bound is None else int(np.count_nonzero(words < bound))
+    def __init__(self, config: SimConfig) -> None:
+        p, self.n, self.seed = config.herald.p_any, config.n, config.seed
+        self.log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log q = log(1 - p)
+        self.r = -math.expm1(2.0 * self.log_q)  # some side heralds in a cycle
+        a = p / (2.0 - p)
+        s = (1.0 - a) / 2.0  # (1 - p) / (2 - p); a + 2 s rounds to 1
+        sc, alone = s * -math.expm1(self.n * self.log_q), s * math.exp(self.n * self.log_q)
+        self.law = (a, sc, sc, alone, alone)  # sc = s c with c = 1 - q**n
+        self.gen = self.stream(_GAP)
 
+    def stream(self, key: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, _BOTH, key])))
 
-def _epoch_blocks(seed: int, log_q: float, cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Epoch k's first-herald gap, ``Geom(1 - q**2)`` capped at ``cap``, and raw category word:
-    word k of the streams keyed ``(seed, _BOTH, _GAP)`` and ``(seed, _BOTH, _ORDER)``."""
-    gap_bits, word_bits = (
-        np.random.Philox(np.random.SeedSequence([seed, _BOTH, key])) for key in (_GAP, _ORDER)
-    )
-    buffer = np.empty(_BLOCK)
-    while True:
-        gaps = _geometric_gaps(gap_bits.random_raw(_BLOCK), 2.0 * log_q, cap, buffer)
-        yield gaps, word_bits.random_raw(_BLOCK)
+    def span(self, k: int) -> int:
+        """The summed first-herald waits of the next ``k`` epochs."""
+        if k == 1:
+            return int(self.gen.geometric(self.r))
+        return k + int(self.gen.negative_binomial(k, self.r))
+
+    def counts(self, k: int) -> list[int]:
+        """How many of the next ``k`` epochs have each outcome."""
+        return self.gen.multinomial(k, self.law).tolist()
+
+    def split(self, k: int, span: int, head: int, gen: np.random.Generator) -> int:
+        """The summed waits of the first ``head`` of ``k`` epochs whose waits sum to ``span``."""
+        return head + int(gen.binomial(span - k, gen.beta(head, k - head)))
+
+    def expand(self, k: int, span: int, counts: list[int], gen) -> Iterator[tuple[int, int, int]]:
+        """Each ``(wait, outcome, offset)`` of ``k`` epochs with these sums, in order; a
+        later herald's offset is 0 on a tie, ``n + 1`` if not within ``n``."""
+        n, log_q = self.n, self.log_q
+        for left in range(k, 0, -1):
+            wait = self.split(left, span, 1, gen) if left > 1 else span
+            pick = gen.integers(left) if left > 1 else 0
+            outcome = bisect.bisect_right(list(itertools.accumulate(counts)), pick)
+            offset = (0, 0, 0, n + 1, n + 1)[outcome]
+            if outcome in (1, 2):  # the geometric law on [1, n], inverted
+                place = gen.random() * math.expm1(n * log_q)
+                offset = min(n, max(1, math.ceil(math.log1p(place) / log_q)))
+            yield wait, outcome, offset
+            span, counts[outcome] = span - wait, counts[outcome] - 1
 
 
 def _run_omniscient(config: SimConfig) -> SimStats:
-    """Renewal sampler of the omniscient joint rule, one block of epochs at a time.
+    """Renewal sampler of the omniscient joint rule, a chunk of epochs at a time.
 
     An epoch starts at ``t0`` with both sides open.  Its first herald closes
     that side for ``n`` cycles and both reopen right after the deadline, so
-    the epoch lasts ``M + n`` cycles, with ``M ~ Geom(1 - q**2)`` and
-    ``q = 1 - p``.  Given ``M``, it is a tie with probability
-    ``a = p / (2 - p)``; otherwise one side is first, each with
-    ``s = (1 - p) / (2 - p)``, and the other, whose wait is memoryless,
-    heralds within ``n`` cycles with ``c = 1 - q**n``.  Epoch ``k`` takes
-    ``M`` and a category word from :func:`_epoch_blocks`, whose uniform
-    falls into five intervals, in order: a tie, left first with the right
-    within ``n``, right first with the left within ``n`` (``s c`` each), left
-    first alone and right first alone (``s (1 - c)`` each).  A tie confirms
-    a pair, split by :func:`_true_pairs`; a later herald within ``n`` counts.
+    it lasts ``L = M + n`` cycles, ``M ~ Geom(1 - q**2)``, ``q = 1 - p``.
+    Independently of ``M``, it is a tie with probability ``a = p / (2 - p)``;
+    else one side is first, each with ``s = (1 - p) / (2 - p)``, and the
+    other, whose wait is memoryless, heralds within ``n`` cycles with
+    ``c = 1 - q**n``.  A tie confirms a pair, split by :func:`_true_pairs`.
 
-    A block's measured epochs are counted by the ends of :func:`_epoch_bounds`:
-    left heralds below the fourth, right ones below the third or from the
-    fourth on, and pairs below the first.  The warm-up epochs, those that
-    take trace notes, the last one and blocks whose ends could pass int64 go
-    through ``epoch``, which places a later herald by its word's place.
+    After the warm-up, a chunk takes the largest ``k`` with
+    ``k E[L] + _Z sd(M) sqrt(k)`` within the cycles left.  If its summed
+    waits end it inside the run, its outcome counts give its heralds and
+    pairs.  If not, it is halved, the head's waits drawn given the chunk's,
+    until the epoch that ends the run is alone; no chunk is drawn again.
+    ``epoch`` plays single epochs, and a traced run's first epochs of a
+    counted chunk, drawn given its sums from a stream of their own.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    p = config.herald.p_any
-    if p <= 0.0:  # no side ever heralds
+    if config.herald.p_any <= 0.0:  # no side ever heralds
         return _sim_stats(config, SimMode.OMNISCIENT, [0, 0], 0, 0, 0, total - warmup, [])
     trace_limit = config.trace_limit
     heralds = [0, 0]
     pairs = both_open = 0
     trace: list[tuple[int, str, str]] = []
-    log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log q = log(1 - p)
-    bounds = tie, left_soon, soon, left_alone = _epoch_bounds(p, log_q, n)
+    draws = _EpochDraws(config)
+    order = draws.stream(_ORDER) if trace_limit else None
 
     def note(cycle: int, side: str, event: str) -> None:
         if len(trace) < trace_limit:
             trace.append((cycle, side, event))
 
-    def epoch(t0: int, gap: int, word: int) -> int:
+    def epoch(t0: int, gap: int, outcome: int, offset: int) -> int:
         """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
         nonlocal pairs, both_open
         bin = t0 + gap - 1
         both_open += _open_cycles(t0, bin, warmup, total)
         if bin >= total:
             return total
-        m = word >> 11
-        if m < tie:
-            first, late = 0, bin
-        elif m < soon:
-            first, lo, hi = (0, tie, left_soon) if m < left_soon else (1, left_soon, soon)
-            late = bin + _late_offset((m - lo) / (hi - lo), log_q, n)
-        else:
-            first, late = (0 if m < left_alone else 1), bin + n + 1
+        first, late = _FIRST[outcome], bin + offset
         if bin >= warmup:
             heralds[first] += 1
         note(bin, _SIDE_KEYS[first], "herald")
@@ -635,47 +652,45 @@ def _run_omniscient(config: SimConfig) -> SimStats:
             note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
         return end + 1
 
-    # A first gap past total lands past the run from any start, so a cap >= total + 1 is exact.
-    cap = total + 1.0 if total < 2**53 else math.nextafter(float(total), math.inf)
-    longest = int(cap) + n
+    def chunk(t0: int) -> int:
+        room, r = total - t0, draws.r
+        if t0 < warmup or room * r <= 1.0:
+            return 1
+        mean, sd = n + 1.0 / r, math.sqrt(1.0 - r) / r  # E[L] and sd(M)
+        root = 2.0 * room / (_Z * sd + math.sqrt((_Z * sd) ** 2 + 4.0 * mean * room))
+        k = int(root * root)
+        # numpy's negative_binomial refuses a Poisson rate whose mean + 10 sd can pass ~9.2e18.
+        return k if k > 1 and (1.0 - r) / r * (k + 10.0 * math.sqrt(k)) < 9.2e18 else 1
 
-    def one_at_a_time(t0: int, size: int) -> bool:
-        """Whether the next epoch of a block of ``size`` goes through ``epoch``."""
-        return t0 < warmup or len(trace) < trace_limit or t0 + size * longest > _INT64_MAX
+    def settle(t0: int, k: int, span: int) -> int:
+        """Count or play ``k`` epochs from ``t0`` whose waits sum to ``span``; return the
+        next epoch's start, at or past ``total`` once the run has ended."""
+        nonlocal pairs, both_open
+        if k == 1:
+            return epoch(t0, *next(draws.expand(1, span, draws.counts(1), draws.gen)))
+        end = t0 + span + k * n
+        if end > total:
+            head = k // 2
+            part = draws.split(k, span, head, draws.gen)
+            t0 = settle(t0, head, part)
+            return settle(t0, k - head, span - part) if t0 < total else t0
+        counts = draws.counts(k)
+        if len(trace) < trace_limit:
+            for gap, outcome, offset in draws.expand(k, span, counts.copy(), order):
+                t0 = epoch(t0, gap, outcome, offset)
+                k, span, counts[outcome] = k - 1, span - gap, counts[outcome] - 1
+                if len(trace) >= trace_limit:
+                    break
+        heralds[0] += k - counts[4]
+        heralds[1] += k - counts[3]
+        pairs += counts[0]
+        both_open += span  # each epoch is open for its M cycles
+        return end
 
-    word_bounds = [np.uint64(bound << 11) if bound < 2**53 else None for bound in bounds]
     t0 = 0
-    for gaps, words in _epoch_blocks(config.seed, log_q, cap):
-        size = len(gaps)
-        if one_at_a_time(t0, size):
-            done = 0
-            while done < size and t0 < total and one_at_a_time(t0, size):
-                t0 = epoch(t0, gaps.item(done), words.item(done))
-                done += 1
-            if t0 >= total:
-                break
-            if done == size:
-                continue
-            gaps, words = gaps[done:], words[done:]
-        # Epochs [0, k) start after the warm-up and end at ``end``, inside the run.
-        k = len(gaps)
-        end = t0 + int(gaps.sum()) + k * n
-        if end >= total:
-            ends = np.cumsum(gaps + n)
-            ends += t0
-            k = int(np.searchsorted(ends, total))
-            end = int(ends[k - 1]) if k else t0
-        if k:
-            counted = words[:k]
-            left = _count_below(counted, word_bounds[3])
-            heralds[0] += left
-            heralds[1] += _count_below(counted, word_bounds[2]) + k - left
-            pairs += _count_below(counted, word_bounds[0])
-            both_open += end - t0 - k * n  # each epoch is open for M cycles
-            t0 = end
-        if k < len(gaps):  # epoch k ends the run
-            epoch(t0, gaps.item(k), words.item(k))
-            break
+    while t0 < total:
+        k = chunk(t0)
+        t0 = settle(t0, k, draws.span(k))
     true_pairs = _true_pairs(config.seed, config.herald, pairs)
     return _sim_stats(
         config, SimMode.OMNISCIENT, heralds, true_pairs, pairs - true_pairs, 0, both_open, trace

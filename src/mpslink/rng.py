@@ -6,9 +6,10 @@ identical values in any run, on any platform, and independent of how many
 other draws happened before.  :func:`derive_seed` gives each point of a
 ``cli`` sweep its own simulation seed.  The simulation itself draws from
 numpy's Philox generator: the literal engine's per-side waits
-(``protocol._herald_blocks``), the omniscient engine's epochs
-(``protocol._epoch_blocks``) and the pair truths; no package code calls
-:func:`u01`.
+(``protocol._herald_blocks``), the omniscient engine's chunks of epochs
+(``protocol._EpochDraws``, a negative-binomial sum of waits and multinomial
+outcome counts per chunk, expanded given those sums where epochs are placed
+one at a time) and the pair truths; no package code calls :func:`u01`.
 """
 
 from __future__ import annotations

@@ -431,6 +431,16 @@ class TestSubcommands:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_clock_period_below_the_normal_floats_exits_2(self, capsys):
+        """``tau_c_ns * 1e-9`` used to underflow to 0, and the Monte Carlo
+        rate to divide by it with a traceback."""
+        argv = ["fidelity", "--length-km", "0.999999", "--tau-c-ns", "1e-320",
+                "--delay-us-per-km", "1e-320", "--mc-cycles", "100000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: tau_c_ns * 1e-9 s must be a normal float, got 1e-320\n"
+        )
+
     def test_infidelity_past_one_names_the_config_line(self, tmp_path, capsys):
         """The ``fidelity`` check names the line of a config file; other
         commands, which print no infidelity, still run at that length."""

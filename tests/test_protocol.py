@@ -1,18 +1,22 @@
 """Receiver state machine, herald sampling and the two simulation engines."""
 
+import collections
 import dataclasses
 import io
 import itertools
+import json
 import math
 import random
 import subprocess
 import sys
+import time
 import warnings
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from mpslink import (
     BsmVariant,
@@ -365,25 +369,43 @@ def _category_ends(p, n):
     return (a, a + s * c, a + 2.0 * s * c, a + (s + s * c)), c
 
 
-def _reference_omniscient(config, draws=None):
-    """The omniscient rule as a scalar loop over epochs, one (first gap,
-    category word) each.
+def _reference_epochs(config):
+    """Each epoch's ``(first gap, outcome, later herald's offset)`` from one
+    (first gap, category word) of :func:`_epoch_draws`.
 
-    An epoch's first herald comes ``gap`` cycles after it starts.  Its word's
-    uniform ``u`` falls into one of five intervals: a tie, left first with
-    the right side within ``n`` cycles, right first with the left within
-    ``n``, left first alone, right first alone.  Within ``n``, the later
-    herald's offset inverts the truncated geometric law at the word's place
-    inside its interval.  A counted pair's truth comes from
-    :func:`_pair_truths`.  ``des_run`` counts the same epochs a block at a
-    time in omniscient mode; the two must agree field for field.  ``draws``
-    replaces :func:`_epoch_draws`.
+    The word's uniform ``u`` falls into one of five intervals, the outcomes
+    in order: a tie, left first with the right side within ``n`` cycles,
+    right first with the left within ``n``, left first alone, right first
+    alone.  Within ``n``, the later herald's offset inverts the truncated
+    geometric law at the word's place inside its interval; it is 0 on a tie
+    and ``n + 1`` alone.
     """
-    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    p = config.herald.p_any
-    draws = _epoch_draws(config) if draws is None else draws
+    n, p = config.n, config.herald.p_any
     ends, c = _category_ends(p, n)
     steps = [math.ceil(t * 2**53) for t in ends]  # the ends in steps of 2**-53
+    for gap, word in _epoch_draws(config):
+        outcome = sum((word >> 11) * 2**-53 >= t for t in ends)
+        if outcome in (1, 2):
+            lo, hi = steps[outcome - 1], steps[outcome]
+            place = ((word >> 11) - lo) / (hi - lo)
+            offset = min(n, max(1, math.ceil(math.log1p(-place * c) / math.log1p(-p))))
+        else:
+            offset = 0 if outcome == 0 else n + 1
+        yield gap, outcome, offset
+
+
+def _reference_omniscient(config):
+    """The omniscient rule as a scalar loop over epochs, one ``(first gap,
+    outcome, offset)`` of :func:`_reference_epochs` each.
+
+    An epoch's first herald comes ``gap`` cycles after it starts, and the
+    other side's, if any, ``offset`` cycles after that.  A counted pair's
+    truth comes from :func:`_pair_truths`.  ``des_run`` draws the same law a
+    chunk of epochs at a time in omniscient mode; with :class:`_ReferenceDraws`
+    standing in for its draws, the two must agree field for field.
+    """
+    n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
+    epochs = _reference_epochs(config)
     truths = _pair_truths(config)
     sides = ("left", "right")
     heralds = [0, 0]
@@ -396,24 +418,15 @@ def _reference_omniscient(config, draws=None):
 
     t0 = 0
     while t0 < total:
-        gap, word = next(draws)
+        gap, outcome, offset = next(epochs)
         bin = t0 + gap - 1
         if bin >= total:
             both_open += _open_cycles(t0, total - 1, warmup, total)
             break
         both_open += _open_cycles(t0, bin, warmup, total)
-        category = sum((word >> 11) * 2**-53 >= t for t in ends)
-        first = (0, 0, 1, 0, 1)[category]
+        first = (0, 0, 1, 0, 1)[outcome]
         second = 1 - first
-        if category == 0:
-            late = bin
-        elif category in (1, 2):
-            lo, hi = steps[category - 1], steps[category]
-            place = ((word >> 11) - lo) / (hi - lo)
-            offset = math.ceil(math.log1p(-place * c) / math.log1p(-p))
-            late = bin + min(n, max(1, offset))
-        else:
-            late = bin + n + 1
+        late = bin + offset
         if bin >= warmup:
             heralds[first] += 1
         note(bin, sides[first], "herald")
@@ -438,6 +451,46 @@ def _reference_omniscient(config, draws=None):
     return _sim_stats(
         config, SimMode.OMNISCIENT, heralds, true_pairs, false_pairs, 0, both_open, trace
     )
+
+
+_ENGINE_DRAWS = protocol._EpochDraws
+
+
+class _ReferenceDraws:
+    """Stands in for ``protocol._EpochDraws``: a chunk's epochs are drawn one by
+    one from :func:`_reference_epochs`, and its summed waits, outcome
+    counts, splits and expansions are read off them.
+
+    The engine settles a chunk's epochs front to back, so the epochs of the
+    chunk or part it asks about are always at the front of ``pending``.
+    """
+
+    def __init__(self, config):
+        self.r = _ENGINE_DRAWS(config).r  # the engine's chunk sizes
+        self.gen = None
+        self.epochs = _reference_epochs(config)
+        self.pending = deque()  # epochs drawn and not yet counted or played
+        self.counted = []
+
+    def stream(self, key):
+        return None
+
+    def span(self, k):
+        drawn = [next(self.epochs) for _ in range(k)]
+        self.pending.extend(drawn)
+        return sum(gap for gap, _, _ in drawn)
+
+    def split(self, k, span, head, gen):
+        assert sum(self.pending[i][0] for i in range(k)) == span
+        return sum(self.pending[i][0] for i in range(head))
+
+    def counts(self, k):
+        self.counted = [self.pending.popleft() for _ in range(k)]
+        return [sum(outcome == o for _, outcome, _ in self.counted) for o in range(5)]
+
+    def expand(self, k, span, counts, gen):
+        assert len(self.counted) == k and sum(gap for gap, _, _ in self.counted) == span
+        yield from self.counted
 
 
 def _random_small_config(rng, mode=SimMode.LITERAL):
@@ -533,74 +586,129 @@ class TestLiteralEngineMatchesReceiverStep:
             assert des_run(dataclasses.replace(config, trace_limit=cap)).trace == full.trace[:cap]
 
 
+def _drawn_by_reference(monkeypatch):
+    """Put :class:`_ReferenceDraws` in place of the engine's draws; return a
+    count of the draws the engine asked for, by kind."""
+    calls = collections.Counter()
+
+    class Recorded(_ReferenceDraws):
+        def split(self, *args):
+            calls["split"] += 1
+            return super().split(*args)
+
+        def counts(self, k):
+            calls["chunk" if k > 1 else "single"] += 1
+            return super().counts(k)
+
+        def expand(self, k, *args):
+            calls["traced chunk" if k > 1 else "played single"] += 1
+            return super().expand(k, *args)
+
+    monkeypatch.setattr(protocol, "_EpochDraws", Recorded)
+    return calls
+
+
 class TestOmniscientEngineMatchesReference:
-    def test_random_small_configs(self):
-        rng = random.Random(20132)
-        seen = set()
-        for _ in range(200):
-            config = _random_small_config(rng, SimMode.OMNISCIENT)
-            stats = des_run(config)
-            assert stats == _reference_omniscient(config), config
-            seen |= _coverage(config, stats)
-        assert {name for name, hit in seen if hit} == {name for name, _ in seen}
+    """With :class:`_ReferenceDraws` standing in for the engine's draws, every
+    chunk's sums, splits and expansions are read off epochs drawn one at a
+    time, so ``des_run`` must equal :func:`_reference_omniscient` field for
+    field, trace included.  At ``_Z = -2`` most chunks pass the run's end and
+    are halved down to the epoch that ends it."""
+
+    def test_random_small_configs(self, monkeypatch):
+        calls = _drawn_by_reference(monkeypatch)
+        for z in (protocol._Z, -2.0):
+            monkeypatch.setattr(protocol, "_Z", z)
+            rng = random.Random(20132)
+            seen = set()
+            for _ in range(200):
+                config = _random_small_config(rng, SimMode.OMNISCIENT)
+                stats = des_run(config)
+                assert stats == _reference_omniscient(config), (z, config)
+                seen |= _coverage(config, stats)
+            assert {name for name, hit in seen if hit} == {name for name, _ in seen}
+        assert min(calls.values()) >= 50, calls
+        assert set(calls) == {"split", "chunk", "single", "traced chunk", "played single"}
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_runs_of_many_blocks(self, case):
+    def test_runs_of_many_blocks(self, case, monkeypatch):
+        calls = _drawn_by_reference(monkeypatch)
         config = SimConfig(mode=SimMode.OMNISCIENT, **BLOCK_CASES[case])
-        assert des_run(config) == _reference_omniscient(config)
+        for z in (protocol._Z, -2.0):
+            monkeypatch.setattr(protocol, "_Z", z)
+            assert des_run(config) == _reference_omniscient(config), z
+        assert calls["chunk"] > 0 and calls["split"] > 0
+
+    @pytest.mark.parametrize("beta_qd, beta_ms, n, p_dc", [(1.0, 0.3, 3, 0.0), (0.5, 0.4, 20, 0.02)])
+    def test_overshooting_chunks_keep_the_law(self, beta_qd, beta_ms, n, p_dc, monkeypatch):
+        """With the engine's own draws and ``_Z = -2``, nearly every chunk
+        passes the run's end and is halved.  Over 300 seeds its mean pairs,
+        heralds per side and both-open fraction match the reference's, drawn
+        one epoch at a time, within 4 SE of their difference."""
+        splits = []
+        split = protocol._EpochDraws.split
+
+        def counted(self, *args):
+            splits.append(args)
+            return split(self, *args)
+
+        monkeypatch.setattr(protocol._EpochDraws, "split", counted)
+        monkeypatch.setattr(protocol, "_Z", -2.0)
+        base = dict(beta_qd=beta_qd, beta_ms=beta_ms, n=n, total_cycles=3000, p_dc=p_dc)
+        runs = {"engine": [], "reference": []}
+        for seed in range(300):
+            config = SimConfig(seed=seed, **base)
+            runs["engine"].append(des_run(config))
+            runs["reference"].append(_reference_omniscient(config))
+        assert len(splits) >= 300  # halvings: these runs keep no trace
+        fields = ("true_coincidences", "false_coincidences", "heralds_left", "heralds_right",
+                  "open_fraction")
+        for field in fields:
+            engine, reference = (np.array([getattr(s, field) for s in runs[k]]) for k in runs)
+            se = math.sqrt((engine.var(ddof=1) + reference.var(ddof=1)) / len(engine))
+            assert abs(engine.mean() - reference.mean()) <= 4.0 * se, field
 
 
 class TestHeraldStream:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_block_size_does_not_change_the_run(self, case, monkeypatch):
+        """Neither engine depends on ``_BLOCK``: the literal sides' gaps and
+        both engines' pair truths are drawn ahead in blocks of it."""
         configs = [SimConfig(mode=mode, **BLOCK_CASES[case]) for mode in SimMode]
         expected = [des_run(config) for config in configs]
-        # Each mode's stream: the literal sides' gaps, the omniscient epochs'
-        # (first gap, category word) blocks.
-        streams = {SimMode.LITERAL: "_herald_blocks", SimMode.OMNISCIENT: "_epoch_blocks"}
-        originals = {mode: getattr(protocol, name) for mode, name in streams.items()}
+        herald_blocks = protocol._herald_blocks
         for block in (1, 7):
-            sizes = {mode: [] for mode in streams}
+            sizes = []
 
-            def counted(mode):
-                def blocks(*args):
-                    for drawn in originals[mode](*args):
-                        sizes[mode].append(len(drawn[0] if mode is SimMode.OMNISCIENT else drawn))
-                        yield drawn
-
-                return blocks
+            def blocks(*args):
+                for drawn in herald_blocks(*args):
+                    sizes.append(len(drawn))
+                    yield drawn
 
             monkeypatch.setattr(protocol, "_BLOCK", block)
-            for mode, name in streams.items():
-                monkeypatch.setattr(protocol, name, counted(mode))
+            monkeypatch.setattr(protocol, "_herald_blocks", blocks)
             assert [des_run(config) for config in configs] == expected, block
-            # The patched size took effect: every block has it.  Every counted
-            # literal herald drew a gap, and every counted omniscient epoch a
-            # first gap and a category word; an epoch holds at most one herald
-            # per side.
-            assert set(sizes[SimMode.LITERAL]) == set(sizes[SimMode.OMNISCIENT]) == {block}
-            for config, stats in zip(configs, expected):
-                drawn = len(sizes[config.mode]) * block
-                if config.mode is SimMode.LITERAL:
-                    assert drawn >= stats.heralds_left + stats.heralds_right
-                else:
-                    assert drawn >= max(stats.heralds_left, stats.heralds_right)
+            # The patched size took effect: every block has it, and every
+            # counted literal herald drew a gap.
+            assert set(sizes) == {block}
+            literal = expected[list(SimMode).index(SimMode.LITERAL)]
+            assert len(sizes) * block >= literal.heralds_left + literal.heralds_right
 
     def test_swapped_streams_mirror_the_run(self, monkeypatch):
         """Swapping the sides' draws mirrors the run: the herald counts trade
         places and the trace swaps left and right.  The literal sides swap
         gap streams, which pins the literal engine's swapped per-side locals,
-        whichever side ends the run.  An omniscient epoch's category word
-        moves from a left-first interval to its right-first twin and back, at
-        the same offset inside it, which pins which side each interval and each
-        block count stands for."""
+        whichever side ends the run.  The omniscient outcomes trade left-first
+        and right-first, in a chunk's counts and in every epoch expanded from
+        them, with the same draws, which pins which side each outcome and each
+        chunk count stands for."""
         rng = random.Random(20134)
         cap = 10**6  # above every run's event count, so the whole trace is kept
         configs = [
             SimConfig(mode=mode, **{**BLOCK_CASES[case], "trace_limit": limit})
             for case in sorted(BLOCK_CASES)
             for mode in SimMode
-            for limit in (0, cap)  # without a trace, omniscient blocks are counted whole
+            for limit in (0, cap)  # without a trace, omniscient chunks are counted whole
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # some runs are shorter than 10n
@@ -610,36 +718,24 @@ class TestHeraldStream:
                 for _ in range(50)
             ]
         runs = [des_run(config) for config in configs]
-        herald_blocks, epoch_blocks = protocol._herald_blocks, protocol._epoch_blocks
+        herald_blocks = protocol._herald_blocks
         monkeypatch.setattr(
             protocol, "_herald_blocks", lambda seed, model, side: herald_blocks(seed, model, 1 - side)
         )
+        swap = (0, 2, 1, 4, 3)  # left first <-> right first
 
-        def mirrored_epochs(config):
-            ends, _ = _category_ends(config.herald.p_any, config.n)
-            tie, left_soon, soon, left_alone = (math.ceil(t * 2**53) for t in ends)
-            width = left_soon - tie  # of each within-n interval, give or take a step
+        class Mirrored(_ENGINE_DRAWS):
+            def counts(self, k):
+                counts = super().counts(k)
+                return [counts[s] for s in swap]
 
-            def mirror(word):
-                m = word >> 11
-                if tie <= m < soon:
-                    left = m < left_soon
-                    m += width if left else -width
-                    assert (tie <= m < left_soon) if not left else (left_soon <= m < soon)
-                elif m >= soon:
-                    m = left_alone if m < left_alone else soon
-                    assert soon < left_alone < 2**53
-                return m << 11 | word & 0x7FF
+            def expand(self, k, span, counts, gen):
+                for wait, outcome, offset in super().expand(k, span, [counts[s] for s in swap], gen):
+                    yield wait, swap[outcome], offset
 
-            def blocks(*args):
-                for gaps, words in epoch_blocks(*args):
-                    yield gaps, np.array([mirror(word) for word in words.tolist()], np.uint64)
-
-            return blocks
-
+        monkeypatch.setattr(protocol, "_EpochDraws", Mirrored)
         mirror = {"left": "right", "right": "left", "both": "both"}
         for config, stats in zip(configs, runs):
-            monkeypatch.setattr(protocol, "_epoch_blocks", mirrored_epochs(config))
             swapped = des_run(config)
             assert len(stats.trace) < cap
             assert (swapped.heralds_left, swapped.heralds_right) == (
@@ -733,105 +829,159 @@ class TestHeraldStream:
 
     @pytest.mark.parametrize("p, n", [(0.3, 2), (0.1, 5), (0.02, 30)])
     def test_epoch_draws_follow_their_law(self, p, n):
-        """Over 10**5 epochs: the first gap has law ``Geom(1 - q**2)`` in mean
-        and tail; the five categories come with probabilities ``a``, ``s c``,
-        ``s c``, ``s (1 - c)`` and ``s (1 - c)``, here from the joint law of two
-        independent geometric waits; and the later herald's offset within
-        ``n`` follows the geometric law truncated to ``[1, n]``."""
-        count, q, log_q = 100_000, 1.0 - p, math.log1p(-p)
-        blocks = itertools.islice(protocol._epoch_blocks(5, log_q, float(_NEVER)), 49)
-        gaps, words = (np.concatenate(parts)[:count] for parts in zip(*blocks))
-        assert len(gaps) == count
-
-        def within_4_se(hits, probability):
-            se = math.sqrt(probability * (1.0 - probability) / count)
-            return abs(hits / count - probability) <= 4.0 * se
-
+        """Each draw of the omniscient engine against the law its docstring
+        states, within 4 SE: a lone epoch's wait is ``Geom(1 - q**2)`` in mean
+        and tail; a chunk's summed waits have the mean and variance of ``k``
+        such waits; its outcome counts have the frequencies ``a``, ``s c``,
+        ``s c``, ``s (1 - c)``, ``s (1 - c)``, here from the joint law of two
+        independent geometric waits; a split's head has the mean and variance
+        of a uniform composition's first parts (beta-binomial); an expanded
+        chunk keeps its sums, puts each outcome at each place with frequency
+        ``count / k``, and places a later herald within ``n`` by the geometric
+        law truncated to ``[1, n]``."""
+        config = SimConfig(beta_qd=1.0, beta_ms=p, n=n, total_cycles=10**6, seed=5)
+        draws = protocol._EpochDraws(config)
+        q = 1.0 - p
         first = 1.0 - q * q  # some side heralds in a cycle
-        gap_se = math.sqrt((1.0 - first) / first**2 / count)
+
+        def within_4_se(values, mean, variance):
+            return abs(np.mean(values) - mean) <= 4.0 * math.sqrt(variance / len(values))
+
+        def frequency_within_4_se(hits, count, probability):
+            return within_4_se([1.0] * hits + [0.0] * (count - hits), probability,
+                               probability * (1.0 - probability))
+
+        gaps = np.array([draws.span(1) for _ in range(20_000)])
         assert gaps.min() >= 1
-        assert abs(gaps.mean() - 1.0 / first) <= 4.0 * gap_se
+        assert within_4_se(gaps, 1.0 / first, q * q / first**2)
         for g in (1, 2, round(1.0 / first), round(3.0 / first)):
-            assert within_4_se(np.count_nonzero(gaps > g), q ** (2 * g)), g
+            assert frequency_within_4_se(np.count_nonzero(gaps > g), len(gaps), q ** (2 * g)), g
+
+        k = 50
+        spans = np.array([draws.span(k) for _ in range(4000)], float)
+        mean, variance = k / first, k * q * q / first**2
+        assert within_4_se(spans, mean, variance)
+        # Sample variance of a sum of k geometric waits, excess kurtosis (6 + r**2 / q**2) / k.
+        kurtosis = (6.0 + first**2 / (q * q)) / k
+        se = variance * math.sqrt(2.0 / (len(spans) - 1) + kurtosis / len(spans))
+        assert abs(spans.var(ddof=1) - variance) <= 4.0 * se
 
         c = 1.0 - q**n
         tie, alone = p * p / first, p * q / first
         law = [tie, alone * c, alone * c, alone * (1.0 - c), alone * (1.0 - c)]
-        steps = protocol._epoch_bounds(p, log_q, n)
-        places = words >> np.uint64(11)
-        category = np.searchsorted(np.array(steps, np.uint64), places, side="right")
-        for hits, probability in zip(np.bincount(category, minlength=5), law):
-            assert within_4_se(hits, probability), (hits, probability)
+        assert draws.law == pytest.approx(law, rel=1e-12, abs=1e-300)
+        counts = np.sum([draws.counts(1000) for _ in range(100)], axis=0)
+        for hits, probability in zip(counts, law):
+            assert frequency_within_4_se(int(hits), 100_000, probability), (hits, probability)
 
-        for lo, hi, which in ((steps[0], steps[1], 1), (steps[1], steps[2], 2)):
-            inside = places[category == which].astype(np.int64)
-            offsets = np.array([
-                protocol._late_offset(place, log_q, n) for place in ((inside - lo) / (hi - lo))
-            ])
-            assert offsets.min() >= 1 and offsets.max() <= n
-            for d in range(1, n + 1):
-                probability = q ** (d - 1) * p / c
-                se = math.sqrt(probability * (1.0 - probability) / len(offsets))
-                assert abs(np.count_nonzero(offsets == d) / len(offsets) - probability) <= 4 * se
+        k, span, head = 20, 20 + 37, 7  # an excess of 37 cycles over the waits' minimum
+        heads = np.array([draws.split(k, span, head, draws.gen) for _ in range(20_000)]) - head
+        excess, alpha, beta = span - k, head, k - head
+        mean = excess * alpha / k
+        variance = excess * alpha * beta * (excess + k) / (k * k * (k + 1))
+        assert within_4_se(heads, mean, variance)
+        assert abs(heads.var(ddof=1) - variance) <= 0.05 * variance
+        assert heads.min() >= 0 and heads.max() <= excess
+
+        k, span, chunk_counts = 6, 6 + 40, [1, 2, 1, 1, 1]
+        gen = draws.stream(protocol._ORDER)
+        expanded = [list(draws.expand(k, span, chunk_counts.copy(), gen)) for _ in range(4000)]
+        offsets = []
+        for epochs in expanded:
+            waits, outcomes, _ = zip(*epochs)
+            assert sum(waits) == span and min(waits) >= 1
+            assert [outcomes.count(o) for o in range(5)] == chunk_counts
+            offsets += [offset for _, outcome, offset in epochs if outcome in (1, 2)]
+            for _, outcome, offset in epochs:
+                assert offset == (0 if outcome == 0 else n + 1) or outcome in (1, 2)
+        for place in range(k):
+            assert within_4_se([epochs[place][0] for epochs in expanded], span / k,
+                               (span / k) ** 2)  # a loose variance: each wait is below span
+            for outcome, count in enumerate(chunk_counts):
+                hits = sum(epochs[place][1] == outcome for epochs in expanded)
+                assert frequency_within_4_se(hits, len(expanded), count / k), (place, outcome)
+        assert 1 <= min(offsets) and max(offsets) <= n
+        for d in range(1, n + 1):
+            probability = q ** (d - 1) * p / c
+            assert frequency_within_4_se(offsets.count(d), len(offsets), probability), d
 
     @pytest.mark.parametrize("beta_qd, n", [(0.003, 3), (0.5, 2000)])
-    def test_category_ends_are_exact_next_to_a_word(self, beta_qd, n, monkeypatch):
-        """Category words one step below and at each interval end are sorted
-        by ``u < t``, both in the block counts and one epoch at a time; a raw
-        bound rounded down would misplace the word below an end that is not a
-        whole step.  At ``p n > 745`` (the second case) ``q**n`` underflows,
-        so ``c = 1``, the last two ends are ``2**53`` and their raw bound is
-        ``2**64``, which must not wrap: every epoch heralds on both sides."""
-        config = SimConfig(beta_qd=beta_qd, beta_ms=1.0, n=n, total_cycles=400 * (n + 3), seed=5)
-        p = config.herald.p_any
-        ends, c = _category_ends(p, n)
-        steps = [math.ceil(t * 2**53) for t in ends]
-        assert steps == list(protocol._epoch_bounds(p, math.log1p(-p), n))
+    def test_outcome_law_at_its_edges(self, beta_qd, n):
+        """The outcome law sums to 1 and its cumulative ends are the five
+        intervals the reference sorts a word into.  At ``p n > 745`` (the
+        second case) ``q**n`` underflows, so ``c = 1`` and the alone outcomes
+        have probability 0 exactly: every epoch heralds on both sides, in
+        chunks counted whole and in epochs expanded for the trace."""
+        config = SimConfig(beta_qd=beta_qd, beta_ms=1.0, n=n, total_cycles=10**6, seed=5)
+        law = protocol._EpochDraws(config).law
+        ends, c = _category_ends(config.herald.p_any, n)
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
+        assert list(itertools.accumulate(law))[:4] == pytest.approx(ends, rel=1e-15)
         if n == 2000:
-            assert c == 1.0 and steps[2:] == [2**53, 2**53]
-        else:
-            assert sum(step - 1 < t * 2**53 < step for t, step in zip(ends, steps)) >= 2
-        words = sorted(
-            {word for step in steps for word in ((step << 11) - 1, step << 11) if word < 2**64}
-        )
-        draws = [(1 + j % 3, word) for j, word in enumerate(words * 3)]
-
-        def blocks(*args):
-            endless = itertools.cycle(draws)
-            while True:
-                gaps, block = zip(*itertools.islice(endless, protocol._BLOCK))
-                yield np.array(gaps, np.int64), np.array(block, np.uint64)
-
-        monkeypatch.setattr(protocol, "_epoch_blocks", blocks)
-        for trace_limit in (0, 10**6):  # blocks counted whole, and every epoch one at a time
-            run = dataclasses.replace(config, trace_limit=trace_limit)
-            stats = des_run(run)
-            assert stats == _reference_omniscient(run, itertools.cycle(draws))
+            assert c == 1.0 and law[3:] == (0.0, 0.0)
+        for trace_limit in (0, 10**6):
+            stats = des_run(dataclasses.replace(config, trace_limit=trace_limit))
             assert stats.true_coincidences > 0
             assert (stats.heralds_left == stats.heralds_right) == (n == 2000)
 
     def test_certain_and_impossible_epochs(self, monkeypatch):
-        """At ``p = 1`` every epoch is a tie of gap 1: every end is ``2**53``.
-        At ``p = 0`` no herald comes, and the engine draws nothing."""
-        log_q = -math.inf  # log(1 - p) at p = 1
-        assert protocol._epoch_bounds(1.0, log_q, 7) == (2**53,) * 4
-        gaps, words = next(protocol._epoch_blocks(3, log_q, float(_NEVER)))
-        assert gaps.tolist() == [1] * protocol._BLOCK
+        """At ``p = 1`` every wait is 1 and every epoch a tie, so a run draws
+        nothing that matters: it equals the reference and every other seed's
+        run.  At ``p = 0`` no herald comes, and the engine draws nothing."""
         lossless = SimConfig(beta_qd=1.0, beta_ms=1.0, n=7, total_cycles=5000, seed=3)
-        stats = des_run(lossless)
-        assert stats == _reference_omniscient(lossless)
-        epochs = _expected_lossless_pairs(5000, 7, stats.warmup_cycles)
-        assert stats.heralds_left == stats.heralds_right == stats.true_coincidences == epochs
+        draws = protocol._EpochDraws(lossless)
+        assert draws.law == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert [draws.span(k) for k in (1, 2, 1000)] == [1, 2, 1000]
+        assert draws.counts(1000) == [1000, 0, 0, 0, 0]
+        for trace_limit in (0, 100):
+            run = dataclasses.replace(lossless, trace_limit=trace_limit)
+            stats = des_run(run)
+            assert stats == _reference_omniscient(run) == des_run(dataclasses.replace(run, seed=4))
+            epochs = _expected_lossless_pairs(5000, 7, stats.warmup_cycles)
+            assert stats.heralds_left == stats.heralds_right == stats.true_coincidences == epochs
 
         def no_draws(*args):
             raise AssertionError("drew at p = 0")
 
-        monkeypatch.setattr(protocol, "_epoch_blocks", no_draws)
+        monkeypatch.setattr(protocol, "_EpochDraws", no_draws)
         dark = SimConfig(beta_qd=0.0, beta_ms=0.5, n=7, total_cycles=5000, seed=3, trace_limit=9)
         stats = des_run(dark)
         assert stats == _reference_omniscient(dark)
         assert stats.heralds_left == stats.heralds_right == 0
         assert stats.open_fraction == 1.0 and stats.trace == ()
+
+
+def _edges_or(values, drawn):
+    return st.one_of(st.sampled_from(values), drawn)
+
+
+# Edge values for every SimConfig field: subnormals, p_any near 2**-62,
+# certain heralds, timeouts past int64 and runs of up to 2**62 cycles.
+_PROBABILITY = _edges_or(
+    [0.0, 5e-324, 1e-310, 2.0**-62, 2.0**-60, 2.0**-31, 0.5, 1.0 - 2.0**-53, 1.0],
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_CONFIGS = st.fixed_dictionaries({
+    "beta_qd": _PROBABILITY,
+    "beta_ms": _PROBABILITY,
+    "p_dc": _edges_or([0.0, 5e-324, 1e-6, 0.25], st.floats(min_value=0.0, max_value=0.3)),
+    "n": _edges_or([1, 2, 100, 10**6, 2**62, 2**70], st.integers(min_value=1, max_value=10**6)),
+    "total_cycles": _edges_or(
+        [1, 10, 10**6, 10**12, _NEVER - 1, _NEVER], st.integers(min_value=1, max_value=_NEVER)
+    ),
+    "seed": _edges_or([0, 2**64 - 1], st.integers(min_value=0, max_value=2**64 - 1)),
+    "tau_c_ns": _edges_or(
+        [5e-324, 1e-300, 1e-290, 500.0, 1.7e308], st.floats(min_value=1e-300, max_value=1e300)
+    ),
+    "bsm_variant": st.sampled_from(list(BsmVariant)),
+    "trace_limit": st.sampled_from([0, 1, 25]),
+})
+
+
+_EDGE_RUN = dict(
+    beta_ms=1.0, p_dc=0.0, n=1, total_cycles=_NEVER, seed=1, tau_c_ns=500.0,
+    bsm_variant=BsmVariant.SINGLET_ONLY, trace_limit=25,
+)
 
 
 class TestSimConfig:
@@ -868,6 +1018,16 @@ class TestSimConfig:
         for tau_c_ns in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^tau_c_ns must be positive and finite"):
                 SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=1000, tau_c_ns=tau_c_ns)
+
+    def test_rejects_a_clock_period_below_the_normal_floats(self):
+        """``tau_c_ns * 1e-9`` s used to underflow to 0, and the rate to divide
+        by zero once a pair was counted; a subnormal period overflowed it."""
+        for tau_c_ns in (1e-320, 1e-300):
+            with pytest.raises(ValueError, match=r"^tau_c_ns \* 1e-9 s must be a normal float"):
+                SimConfig(beta_qd=1.0, beta_ms=1.0, n=5, total_cycles=10_000, tau_c_ns=tau_c_ns)
+        for mode in SimMode:
+            stats = des_run(SimConfig(mode=mode, **{**LOSSLESS, "tau_c_ns": 1e-290}))
+            assert stats.true_coincidences > 0 and math.isfinite(stats.rate_hz)
 
     def test_rejects_non_integer_trace_limit(self):
         """``trace_limit`` follows the integer rule of ``seed``: 2.5 used to
@@ -934,6 +1094,44 @@ class TestSimConfig:
             SimConfig.from_hardware(LossBudget(10.0, 5.0), ChannelGeometry(50.0), total_cycles=500)
         assert [warning.filename for warning in record] == [__file__] * 3
 
+    @settings(
+        max_examples=300, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_CONFIGS)
+    # p_any = 2**-60 over 2**62 cycles: chunks of 2 epochs, whose negative
+    # binomial numpy refuses; and p_any near 2**-62 and subnormal.
+    @example({**_EDGE_RUN, "beta_qd": 2.0**-60})
+    @example({**_EDGE_RUN, "beta_qd": 2.0**-62, "trace_limit": 0})
+    @example({**_EDGE_RUN, "beta_qd": 5e-324, "total_cycles": 10_000})
+    def test_every_accepted_config_runs_cleanly(self, fields):
+        """Any config that ``SimConfig`` accepts runs in both modes with no
+        warning but the short-run one, and its ``SimStats`` pass their own
+        checks and serialise.  Omniscient runs take up to 2**62 cycles, but
+        only while no pair truth is drawn: ``_true_pairs`` costs one word per
+        pair.  Literal runs take one step per herald, so their cycles are
+        capped."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "total_cycles below 10", UserWarning)
+            try:
+                config = SimConfig(**fields)
+            except ValueError:
+                assume(False)
+            runs = [config, dataclasses.replace(
+                config, mode=SimMode.LITERAL, total_cycles=min(config.total_cycles, 5000)
+            )]
+            if config.herald.pair_true_fraction < 1.0:
+                runs[0] = dataclasses.replace(config, total_cycles=min(config.total_cycles, 10**6))
+            for run in runs:
+                stats = des_run(run)
+                assert stats == dataclasses.replace(stats)  # SimStats.__post_init__ once more
+                assert math.isfinite(stats.rate_hz) and stats.rate_hz >= 0.0
+                assert 0 <= stats.true_coincidences + stats.false_coincidences
+                assert stats.cycles_run == run.total_cycles
+                assert len(stats.trace) <= run.trace_limit
+                json.loads(stats.to_json())
+
     def test_from_hardware_square_profile(self):
         config = SimConfig.from_hardware(
             LossBudget(10.0, 5.0),
@@ -947,6 +1145,7 @@ class TestSimConfig:
 
 
 LOSSLESS = dict(beta_qd=1.0, beta_ms=1.0, n=10, total_cycles=5000, seed=3)
+
 
 
 def _expected_lossless_pairs(total, n, warmup):
@@ -1002,6 +1201,71 @@ class TestDesRun:
         stats = des_run(config)
         assert stats == _reference_omniscient(config)
         assert stats.warmup_cycles == stats.cycles_run == 5000
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_tiny_herald_probability_runs_without_warning(self, mode):
+        """At ``p_any = 5e-324`` the gap quotient ``log1p(-u) / log1p(-p)``
+        used to overflow before its cap, with a numpy ``RuntimeWarning``."""
+        config = SimConfig(beta_qd=5e-324, beta_ms=1.0, n=5, total_cycles=10_000, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = des_run(config)
+        assert stats.heralds_left == stats.heralds_right == 0
+
+    def test_cost_does_not_grow_with_the_cycles(self):
+        """An omniscient run draws chunks of epochs, so a run of 10**12 cycles
+        at the 10 km default point (``p = 0.0251``, ``n = 100``) takes under
+        50 ms, and its rate lies within 3 SE of the chain.  The SE is the
+        regenerative closed form: ``X`` (a pair) is Bernoulli(``a``) and
+        independent of ``M``, so ``sigma**2 = a (1 - a) + R**2 Var(M)`` with
+        ``R = a / E[L]``, and ``Var(R) = sigma**2 / (T E[L])``."""
+        config = SimConfig.from_hardware(
+            LossBudget(10.0, 5.0), ChannelGeometry(10.0), total_cycles=10**12, seed=1
+        )
+        des_run(dataclasses.replace(config, total_cycles=10**6))  # numpy's first calls
+        start = time.perf_counter()
+        stats = des_run(config)
+        assert time.perf_counter() - start < 0.05
+        p, n, tau_s = config.herald.p_any, config.n, 500e-9
+        assert (round(p, 4), n) == (0.0251, 100)
+        q, a = 1.0 - p, p / (2.0 - p)
+        first = 1.0 - q * q
+        mean_l = n + 1.0 / first
+        per_cycle = a / mean_l
+        sigma2 = a * (1.0 - a) + per_cycle**2 * q * q / first**2
+        se = math.sqrt(sigma2 / (stats.measured_cycles * mean_l)) / tau_s
+        chain = rate_from_stationary(stationary_open_prob(n, p), p * p, tau_s)
+        assert chain == pytest.approx(per_cycle / tau_s, rel=1e-9)
+        assert abs(stats.rate_hz - chain) <= 3.0 * se
+
+    @pytest.mark.parametrize("p, n, total", [(0.1, 50, 10_000_000), (0.01, 500, 100_000_000)])
+    def test_omniscient_spread_matches_the_regenerative_variance(self, p, n, total):
+        """Over 300 seeds, the SD of ``rate_hz`` matches the closed form of
+        :meth:`test_cost_does_not_grow_with_the_cycles`, and the SD of
+        ``open_fraction`` its twin ``Var(M - O L) / (T E[L])`` with
+        ``O = E[M] / E[L]``, ``= (1 - O)**2 Var(M) / (T E[L])``.  The pairs'
+        spread comes mostly from the outcomes, the open cycles' from the
+        summed waits, so a negative binomial of the wrong spread shows in the
+        second.  Each SD lies within 4 SE of its prediction, the SE of a
+        sample SD being about ``1 / sqrt(2 (N - 1))`` of it; ten sets of 300
+        other seeds read ratios of 0.89 to 1.08."""
+        seeds = range(20_000, 20_300)
+        runs = [des_run(SimConfig(beta_qd=1.0, beta_ms=p, n=n, total_cycles=total, seed=seed))
+                for seed in seeds]
+        q, a = 1.0 - p, p / (2.0 - p)
+        first = 1.0 - q * q
+        mean_m, var_m = 1.0 / first, q * q / first**2
+        mean_l = n + mean_m
+        per_cycle, open_share = a / mean_l, mean_m / mean_l
+        cycles = runs[0].measured_cycles * mean_l
+        predicted = {
+            "rate_hz": math.sqrt((a * (1.0 - a) + per_cycle**2 * var_m) / cycles) / 500e-9,
+            "open_fraction": math.sqrt((1.0 - open_share) ** 2 * var_m / cycles),
+        }
+        bound = 4.0 / math.sqrt(2.0 * (len(runs) - 1))
+        for field, sd in predicted.items():
+            observed = np.std([getattr(stats, field) for stats in runs], ddof=1)
+            assert abs(observed / sd - 1.0) <= bound, (field, observed / sd)
 
     def test_determinism_bit_identical(self):
         config = SimConfig(
@@ -1129,6 +1393,10 @@ class TestDesRun:
 # changed and was recorded again.  When an omniscient epoch began to draw its
 # first herald and its category instead of one gap per side, the seven
 # non-degenerate omniscient pins were recorded again; no literal pin changed.
+# They were recorded once more when the omniscient engine began to draw
+# chunks of epochs with numpy's Generator distributions (negative binomial,
+# multinomial, beta-binomial splits), which NEP 19 does not freeze: these
+# seven pins depend on numpy's algorithms, the literal ones do not.
 # Any change to event order, warm-up accounting, the herald draws or the rate
 # arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
@@ -1159,13 +1427,13 @@ GOLDEN_STATS = {
         warmup_cycles=1000,
         measured_cycles=999000,
         tau_c_ns=500.0,
-        heralds_left=1808,
-        heralds_right=1810,
-        true_coincidences=10,
+        heralds_left=1807,
+        heralds_right=1809,
+        true_coincidences=15,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.09195395395395395,
-        rate_hz=20.020020020020016,
+        open_fraction=0.09228928928928928,
+        rate_hz=30.030030030030023,
         infidelity_estimate=0.0,
     ),
     ("p001_n500", "literal"): SimStats(
@@ -1189,14 +1457,14 @@ GOLDEN_STATS = {
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1647,
-        heralds_right=1687,
-        true_coincidences=45,
-        false_coincidences=21,
+        heralds_left=1671,
+        heralds_right=1692,
+        true_coincidences=48,
+        false_coincidences=25,
         one_sided_confirms=0,
-        open_fraction=0.25554443554843875,
-        rate_hz=2642.1136909527618,
-        infidelity_estimate=0.3181818181818182,
+        open_fraction=0.2554243394715773,
+        rate_hz=2922.3378702962364,
+        infidelity_estimate=0.3424657534246575,
     ),
     ("dark_counts", "literal"): SimStats(
         mode='literal',
@@ -1219,27 +1487,27 @@ GOLDEN_STATS = {
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=308,
-        heralds_right=290,
-        true_coincidences=50,
+        heralds_left=297,
+        heralds_right=303,
+        true_coincidences=48,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.31894243641231595,
-        rate_hz=33467.20214190093,
+        open_fraction=0.3149263721552878,
+        rate_hz=32128.514056224893,
         infidelity_estimate=0.0,
         trace=(
-            (1, "left", "herald"), (4, "right", "herald"),
-            (7, "left", "timeout"), (8, "left", "herald"),
-            (10, "right", "herald"), (14, "left", "timeout"),
-            (15, "right", "herald"), (21, "left", "herald"),
-            (21, "right", "timeout"), (22, "left", "herald"),
-            (22, "right", "herald"), (28, "both", "confirm"),
-            (29, "left", "herald"), (32, "right", "herald"),
-            (35, "left", "timeout"), (36, "right", "herald"),
-            (42, "right", "timeout"), (44, "right", "herald"),
-            (50, "left", "herald"), (50, "right", "timeout"),
-            (51, "left", "herald"), (51, "right", "herald"),
-            (57, "both", "confirm"), (58, "left", "herald"),
+            (1, "right", "herald"), (2, "left", "herald"),
+            (7, "right", "timeout"), (8, "right", "herald"),
+            (11, "left", "herald"), (14, "right", "timeout"),
+            (15, "left", "herald"), (21, "right", "herald"),
+            (21, "left", "timeout"), (26, "left", "herald"),
+            (30, "right", "herald"), (32, "left", "timeout"),
+            (34, "left", "herald"), (38, "right", "herald"),
+            (40, "left", "timeout"), (42, "right", "herald"),
+            (44, "left", "herald"), (48, "right", "timeout"),
+            (53, "right", "herald"), (55, "left", "herald"),
+            (59, "right", "timeout"), (65, "right", "herald"),
+            (70, "left", "herald"), (71, "right", "timeout"),
         ),
     ),
     ("trace", "literal"): SimStats(
@@ -1277,18 +1545,18 @@ GOLDEN_STATS = {
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4803,
-        heralds_right=4863,
-        true_coincidences=1226,
+        heralds_left=4831,
+        heralds_right=4783,
+        true_coincidences=1220,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.6604660466046605,
-        rate_hz=122612.2612261226,
+        open_fraction=0.6627662766276627,
+        rate_hz=122012.201220122,
         infidelity_estimate=0.0,
         trace=(
             (3, "right", "herald"), (4, "left", "herald"),
-            (4, "right", "timeout"), (6, "left", "herald"),
-            (7, "right", "herald"), (7, "left", "timeout"),
+            (4, "right", "timeout"), (5, "left", "herald"),
+            (6, "left", "timeout"), (7, "left", "herald"),
         ),
     ),
     ("n1", "literal"): SimStats(
@@ -1357,14 +1625,14 @@ GOLDEN_STATS = {
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=1782,
-        heralds_right=1782,
-        true_coincidences=324,
-        false_coincidences=45,
+        heralds_left=1778,
+        heralds_right=1779,
+        true_coincidences=301,
+        false_coincidences=43,
         one_sided_confirms=0,
-        open_fraction=0.10724057390724058,
-        rate_hz=24624.624624624623,
-        infidelity_estimate=0.12195121951219512,
+        open_fraction=0.1085085085085085,
+        rate_hz=22956.289622956287,
+        infidelity_estimate=0.125,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
         mode='literal',
@@ -1417,13 +1685,13 @@ GOLDEN_STATS = {
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2190,
-        heralds_right=2205,
+        heralds_left=2220,
+        heralds_right=2178,
         true_coincidences=0,
-        false_coincidences=125,
+        false_coincidences=155,
         one_sided_confirms=0,
-        open_fraction=0.3441720860430215,
-        rate_hz=6253.126563281639,
+        open_fraction=0.3457978989494747,
+        rate_hz=7753.876938469233,
         infidelity_estimate=1.0,
     ),
     ("beta_qd_0_dark", "literal"): SimStats(
@@ -1452,15 +1720,15 @@ GOLDEN_STATS = {
         true_coincidences=0,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.023333333333333334,
+        open_fraction=0.02,
         rate_hz=0.0,
         infidelity_estimate=None,
         trace=(
-            (0, "right", "herald"), (4, "left", "herald"),
-            (100, "right", "timeout"), (102, "left", "herald"),
-            (103, "right", "herald"), (202, "left", "timeout"),
-            (205, "left", "herald"), (207, "right", "herald"),
-            (305, "left", "timeout"),
+            (0, "left", "herald"), (6, "right", "herald"),
+            (100, "left", "timeout"), (101, "left", "herald"),
+            (101, "right", "herald"), (201, "both", "confirm"),
+            (202, "left", "herald"), (207, "right", "herald"),
+            (302, "left", "timeout"),
         ),
     ),
     ("short_run", "literal"): SimStats(
