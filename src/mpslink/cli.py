@@ -165,6 +165,8 @@ def _parse_sweep(text: str) -> list[float]:
 
 # Keys that add to a link's loss in dB, besides its length.
 _LOSS_KEYS = "alpha_qd_db alpha_bsm_db fiber_db_per_km source_penalty_db"
+# Keys of the analytic rates, besides the length.
+_RATE_KEYS = f"{_LOSS_KEYS} delay_us_per_km tau_c_ns"
 
 # A command's own config check: the keys it is reported at, and a callable
 # that raises ValueError on a bad config.
@@ -191,6 +193,11 @@ def _validate(
                 f" and {side.alpha2_db:g} dB (MPS)"
             )
 
+    def rates(distances: list[float]) -> None:
+        # The rates fall with distance, so the ends of a sweep bound them.
+        for length_km in dict.fromkeys((distances[0], distances[-1])):
+            _point_report(config, length_km, simulate=False)
+
     # Keys of each check; a rule on several keys is reported at the last of
     # them that the input set, so the error names a flag or line.
     checks = (
@@ -207,12 +214,15 @@ def _validate(
         ("dark_count_rate_hz", lambda: DetectorModel(config.dark_count_rate_hz, 0.0)),
         ("window_ns", lambda: DetectorModel(0.0, config.window_ns)),
         ("dark_count_rate_hz window_ns", config.detector),
-        ("tau_c_ns", lambda: TimingParams(config.tau_c_ns, 1.0)),
+        # A simulation's clock rule: its rate divides by the period in seconds.
+        ("tau_c_ns", lambda: SimConfig(1.0, 1.0, 1, 10, tau_c_ns=config.tau_c_ns)),
         ("sweep", config.sweep_distances),
         ("delay_us_per_km tau_c_ns length_km", lambda: timeout_cycles(config.length_km)),
         ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
         (f"{_LOSS_KEYS} length_km", lambda: transmissions(config.length_km)),
         (f"{_LOSS_KEYS} sweep", lambda: transmissions(max(config.sweep_distances()))),
+        (f"{_RATE_KEYS} length_km", lambda: rates([config.length_km])),
+        (f"{_RATE_KEYS} sweep", lambda: rates(config.sweep_distances())),
         *((keys, partial(rule, config)) for keys, rule in rules),
     )
     for keys, check in checks:
@@ -271,6 +281,11 @@ def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateRe
     g1 = mpi_rate(db_to_prob(alpha1), geom.tau_t_s)
     g2 = mps_rate(side.beta_2, geom.tau_t_s, timing.n)
     g2_star = mps_rate_limit(side.beta_2, geom.tau_t_s)
+    for name, rate in ("g1_hz", g1), ("g2_hz", g2), ("g2_star_hz", g2_star):
+        if not sys.float_info.min <= rate <= sys.float_info.max:  # 0, inf or subnormal
+            raise ValueError(
+                f"{name} must be a positive normal float at {length_km} km, got {rate!r}"
+            )
 
     sim_rate = None
     sim_infidelity = None

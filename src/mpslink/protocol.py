@@ -18,9 +18,9 @@ Two information models are implemented:
 Attempts are independent per cycle, so a wait for a herald is geometric
 and is drawn in one step, from a keyed Philox stream.
 A herald is true with probability ``tf = true_fraction`` independently of
-its wait, so a confirmed pair is true with probability ``tf**2``, and only
-confirmed pairs need a truth at all: the run's j-th counted pair takes word
-j of a stream of its own.  Equal configs give bit-identical runs.
+its wait, so a confirmed pair is true with probability ``tf**2``: a literal
+run's j-th counted pair takes word j of a stream of its own, an omniscient
+epoch draws it with its outcome.  Equal configs give bit-identical runs.
 
 The literal engine takes one step per herald and draws each side's waits
 from a stream keyed by (seed, side).  Announcements land in bin
@@ -413,9 +413,9 @@ def write_trace_csv(stats: SimStats, destination) -> None:
 # Side indices of the engines; the strings name the sides in the trace.
 _SIDE_KEYS = tuple(side.value for side in Side)
 
-# SeedSequence keys: a side's gaps are (seed, side, _GAP), the pair truths
-# (seed, _BOTH, _TRUTH), an omniscient run's epochs (seed, _BOTH, _GAP) and
-# the epochs a traced omniscient run expands (seed, _BOTH, _ORDER).
+# SeedSequence keys: a side's gaps are (seed, side, _GAP), the literal pair
+# truths (seed, _BOTH, _TRUTH), an omniscient run's epochs (seed, _BOTH,
+# _GAP) and the epochs a traced omniscient run expands (seed, _BOTH, _ORDER).
 _GAP, _TRUTH, _ORDER = 0, 1, 2
 _BOTH = 2
 
@@ -469,7 +469,7 @@ def _herald_draws(seed: int, model: HeraldModel, side: int) -> Iterator[int]:
 
 
 def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
-    """How many of a run's ``pairs`` counted pairs are true.
+    """How many of a literal run's ``pairs`` counted pairs are true.
 
     The j-th counted pair takes word j of the Philox stream keyed by
     ``(seed, _BOTH, _TRUTH)`` and is true iff its uniform ``u`` is below
@@ -478,8 +478,8 @@ def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
     ``w < ceil(f * 2**53) << 11``, which stays below 2**64; the words are
     compared raw, ``_BLOCK`` at a time.  At ``f = 1`` every pair is true and
     nothing is drawn.  Only the count of pairs enters, so a run does not
-    depend on the trace, on ``_BLOCK`` or on the order in which an engine
-    finds its pairs.
+    depend on the trace, on ``_BLOCK`` or on the order in which the engine
+    finds its pairs.  Raw words keep literal runs free of numpy's algorithms.
     """
     fraction = model.pair_true_fraction
     if fraction >= 1.0:
@@ -531,9 +531,9 @@ def _sim_stats(
     )
 
 
-# The side that heralds first in each epoch outcome: a tie, left first with
-# the right within n, right first with the left within n, then either alone.
-_FIRST = (0, 0, 1, 0, 1)
+# The first side to herald in each outcome: a true tie, a false tie, left first
+# with the right within n, right first with the left within n, either alone.
+_FIRST = (0, 0, 0, 1, 0, 1)
 # A chunk of k epochs has k E[L] + _Z sd(M) sqrt(k) within the cycles left.
 _Z = 4.0
 
@@ -551,14 +551,17 @@ class _EpochDraws:
     depend on numpy's algorithms.
     """
 
-    def __init__(self, config: SimConfig) -> None:
-        p, self.n, self.seed = config.herald.p_any, config.n, config.seed
+    def __init__(self, config: SimConfig, model: HeraldModel) -> None:
+        p, self.n, self.seed = model.p_any, config.n, config.seed
         self.log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log q = log(1 - p)
         self.r = -math.expm1(2.0 * self.log_q)  # some side heralds in a cycle
-        a = p / (2.0 - p)
+        a, tf2 = p / (2.0 - p), model.pair_true_fraction
         s = (1.0 - a) / 2.0  # (1 - p) / (2 - p); a + 2 s rounds to 1
         sc, alone = s * -math.expm1(self.n * self.log_q), s * math.exp(self.n * self.log_q)
-        self.law = (a, sc, sc, alone, alone)  # sc = s c with c = 1 - q**n
+        law = [a * tf2, a * (1.0 - tf2), sc, sc, alone, alone]  # sc = s c with c = 1 - q**n
+        self.law = np.array(law)
+        # A lone epoch's outcome ends; the last possible outcome takes any rounding.
+        self.ends = list(itertools.accumulate(law))[: max(i for i, w in enumerate(law) if w > 0)]
         self.gen = self.stream(_GAP)
 
     def stream(self, key: int) -> np.random.Generator:
@@ -578,19 +581,26 @@ class _EpochDraws:
         """The summed waits of the first ``head`` of ``k`` epochs whose waits sum to ``span``."""
         return head + int(gen.binomial(span - k, gen.beta(head, k - head)))
 
+    def offset(self, outcome: int, gen: np.random.Generator) -> int:
+        """The later herald's offset: 0 on a tie, ``n + 1`` if not within ``n``, else
+        the geometric law on ``[1, n]`` inverted at one uniform."""
+        if outcome in (2, 3):
+            place = gen.random() * math.expm1(self.n * self.log_q)
+            return min(self.n, max(1, math.ceil(math.log1p(place) / self.log_q)))
+        return 0 if outcome < 2 else self.n + 1
+
+    def single(self) -> tuple[int, int]:
+        """The next lone epoch's outcome and offset, from one uniform (two within ``n``)."""
+        outcome = bisect.bisect_right(self.ends, self.gen.random())
+        return outcome, self.offset(outcome, self.gen)
+
     def expand(self, k: int, span: int, counts: list[int], gen) -> Iterator[tuple[int, int, int]]:
-        """Each ``(wait, outcome, offset)`` of ``k`` epochs with these sums, in order; a
-        later herald's offset is 0 on a tie, ``n + 1`` if not within ``n``."""
-        n, log_q = self.n, self.log_q
+        """Each ``(wait, outcome, offset)`` of ``k`` epochs with these sums, in order."""
         for left in range(k, 0, -1):
             wait = self.split(left, span, 1, gen) if left > 1 else span
             pick = gen.integers(left) if left > 1 else 0
             outcome = bisect.bisect_right(list(itertools.accumulate(counts)), pick)
-            offset = (0, 0, 0, n + 1, n + 1)[outcome]
-            if outcome in (1, 2):  # the geometric law on [1, n], inverted
-                place = gen.random() * math.expm1(n * log_q)
-                offset = min(n, max(1, math.ceil(math.log1p(place) / log_q)))
-            yield wait, outcome, offset
+            yield wait, outcome, self.offset(outcome, gen)
             span, counts[outcome] = span - wait, counts[outcome] - 1
 
 
@@ -603,24 +613,25 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     Independently of ``M``, it is a tie with probability ``a = p / (2 - p)``;
     else one side is first, each with ``s = (1 - p) / (2 - p)``, and the
     other, whose wait is memoryless, heralds within ``n`` cycles with
-    ``c = 1 - q**n``.  A tie confirms a pair, split by :func:`_true_pairs`.
+    ``c = 1 - q**n``.  A tie confirms a pair, which is true with ``tf**2``
+    independently of all else: a true and a false tie are two outcomes.
 
     After the warm-up, a chunk takes the largest ``k`` with
     ``k E[L] + _Z sd(M) sqrt(k)`` within the cycles left.  If its summed
     waits end it inside the run, its outcome counts give its heralds and
     pairs.  If not, it is halved, the head's waits drawn given the chunk's,
     until the epoch that ends the run is alone; no chunk is drawn again.
-    ``epoch`` plays single epochs, and a traced run's first epochs of a
-    counted chunk, drawn given its sums from a stream of their own.
+    ``epoch`` plays lone epochs, one uniform each, and a traced run's first
+    epochs of a counted chunk, drawn given its sums from a stream of their own.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    if config.herald.p_any <= 0.0:  # no side ever heralds
+    model = config.herald
+    if model.p_any <= 0.0:  # no side ever heralds
         return _sim_stats(config, SimMode.OMNISCIENT, [0, 0], 0, 0, 0, total - warmup, [])
     trace_limit = config.trace_limit
-    heralds = [0, 0]
-    pairs = both_open = 0
+    heralds, ties, both_open = [0, 0], [0, 0], 0  # ties: the true and the false pairs
     trace: list[tuple[int, str, str]] = []
-    draws = _EpochDraws(config)
+    draws = _EpochDraws(config, model)
     order = draws.stream(_ORDER) if trace_limit else None
 
     def note(cycle: int, side: str, event: str) -> None:
@@ -629,7 +640,7 @@ def _run_omniscient(config: SimConfig) -> SimStats:
 
     def epoch(t0: int, gap: int, outcome: int, offset: int) -> int:
         """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
-        nonlocal pairs, both_open
+        nonlocal both_open
         bin = t0 + gap - 1
         both_open += _open_cycles(t0, bin, warmup, total)
         if bin >= total:
@@ -646,7 +657,7 @@ def _run_omniscient(config: SimConfig) -> SimStats:
         if late == bin:
             if end < total:
                 if bin >= warmup:
-                    pairs += 1
+                    ties[outcome] += 1
                 note(end, "both", "confirm")
         else:
             note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
@@ -665,9 +676,9 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     def settle(t0: int, k: int, span: int) -> int:
         """Count or play ``k`` epochs from ``t0`` whose waits sum to ``span``; return the
         next epoch's start, at or past ``total`` once the run has ended."""
-        nonlocal pairs, both_open
+        nonlocal both_open
         if k == 1:
-            return epoch(t0, *next(draws.expand(1, span, draws.counts(1), draws.gen)))
+            return epoch(t0, span, *draws.single())
         end = t0 + span + k * n
         if end > total:
             head = k // 2
@@ -681,9 +692,10 @@ def _run_omniscient(config: SimConfig) -> SimStats:
                 k, span, counts[outcome] = k - 1, span - gap, counts[outcome] - 1
                 if len(trace) >= trace_limit:
                     break
-        heralds[0] += k - counts[4]
-        heralds[1] += k - counts[3]
-        pairs += counts[0]
+        heralds[0] += k - counts[5]
+        heralds[1] += k - counts[4]
+        ties[0] += counts[0]
+        ties[1] += counts[1]
         both_open += span  # each epoch is open for its M cycles
         return end
 
@@ -691,10 +703,7 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     while t0 < total:
         k = chunk(t0)
         t0 = settle(t0, k, draws.span(k))
-    true_pairs = _true_pairs(config.seed, config.herald, pairs)
-    return _sim_stats(
-        config, SimMode.OMNISCIENT, heralds, true_pairs, pairs - true_pairs, 0, both_open, trace
-    )
+    return _sim_stats(config, SimMode.OMNISCIENT, heralds, *ties, 0, both_open, trace)
 
 
 def _run_literal(config: SimConfig) -> SimStats:

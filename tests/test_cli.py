@@ -108,9 +108,16 @@ class TestParseConfig:
                 r"^flag --length-km: timeout n = tau_t_us \* 1e3 / tau_c_ns overflows",
                 id="timeout-overflow",
             ),
+            # A clock period whose seconds are subnormal is the simulation's
+            # rule; it used to reach only the timeout check.
             pytest.param(
                 "tau_c_ns=1e-310", None,
-                r"^line 1 \(tau_c_ns\): timeout n = .* overflows", id="clock-overflow",
+                r"^line 1 \(tau_c_ns\): tau_c_ns \* 1e-9 s must be a normal float",
+                id="clock-overflow",
+            ),
+            pytest.param(
+                "delay_us_per_km=1e15\ntau_c_ns=1e-290", None,
+                r"^line 2 \(tau_c_ns\): timeout n = .* overflows", id="clock-and-delay-overflow",
             ),
             # A loss of more than about 3077 dB leaves no normal-float transmission.
             pytest.param(
@@ -438,8 +445,51 @@ class TestSubcommands:
                 "--delay-us-per-km", "1e-320", "--mc-cycles", "100000"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: tau_c_ns * 1e-9 s must be a normal float, got 1e-320\n"
+            "error: flag --tau-c-ns: tau_c_ns * 1e-9 s must be a normal float, got 1e-320\n"
         )
+
+    @pytest.mark.parametrize(
+        ("command", "flags", "message"),
+        [
+            pytest.param(
+                command, flags, message, id=f"{command[0]}{'-simulate' * len(command[1:])}-{name}"
+            )
+            for command in (
+                ["rates"], ["rates", "--simulate"], ["simulate"], ["fidelity"], ["fig4"]
+            )
+            for name, flags, message in (
+                (
+                    # Used to end in a ZeroDivisionError traceback at g2 / g1.
+                    "g1-underflow", ["--alpha-qd-db", "1e3", "--delay-us-per-km", "1e300"],
+                    "flag --delay-us-per-km: g1_hz must be a positive normal float at 50.0 km,"
+                    " got 0.0",
+                ),
+                (
+                    # Used to print g2_hz 0.0 and ratio 0.0 and exit 0.
+                    "g2-underflow", ["--fiber-db-per-km", "0", "--sweep", "1e300:1e300:1"],
+                    "flag --sweep: g2_hz must be a positive normal float at 1e+300 km, got 0.0",
+                ),
+                (
+                    # Used to print inf rates and a nan ratio and exit 0.
+                    "g1-overflow", ["--delay-us-per-km", "1e-310"],
+                    "flag --delay-us-per-km: g1_hz must be a positive normal float at 50.0 km,"
+                    " got inf",
+                ),
+                (
+                    # The sweep's near end overflows while length_km does not.
+                    "near-end-overflow", ["--delay-us-per-km", "1e-300", "--sweep", "1e-9:1:1"],
+                    "flag --sweep: g1_hz must be a positive normal float at 1e-09 km, got inf",
+                ),
+            )
+        ],
+    )
+    def test_rates_past_the_normal_floats_exit_2(self, tmp_path, capsys, command, flags, message):
+        """Every command that reads the config rejects analytic rates that
+        leave the normal floats, at ``length_km`` and at the sweep's ends, and
+        names the last flag of the rule that the input set."""
+        outdir = ["--outdir", str(tmp_path)] if command == ["fig4"] else []
+        assert main([*command, *flags, *outdir, "--cycles", "1000"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infidelity_past_one_names_the_config_line(self, tmp_path, capsys):
         """The ``fidelity`` check names the line of a config file; other

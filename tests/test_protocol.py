@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from mpslink import (
     BsmVariant,
     ChannelGeometry,
+    DetectorModel,
     InvariantError,
     LossBudget,
     SimConfig,
@@ -359,38 +360,38 @@ def _epoch_draws(config):
         yield gap, order_bits.random_raw()
 
 
-def _category_ends(p, n):
-    """The ends ``a, a + s c, a + 2 s c, a + s + s c`` of the first four
-    category intervals, and ``c``, as written in the ``_run_omniscient``
+def _category_ends(p, tf2, n):
+    """The ends ``a tf**2, a, a + s c, a + 2 s c, a + s + s c`` of the first
+    five category intervals, and ``c``, as written in the ``_run_omniscient``
     docstring."""
     c = 1.0 if p == 1.0 else -math.expm1(n * math.log1p(-p))
     a = p / (2.0 - p)
     s = (1.0 - a) / 2.0
-    return (a, a + s * c, a + 2.0 * s * c, a + (s + s * c)), c
+    return (a * tf2, a, a + s * c, a + 2.0 * s * c, a + (s + s * c)), c
 
 
 def _reference_epochs(config):
     """Each epoch's ``(first gap, outcome, later herald's offset)`` from one
     (first gap, category word) of :func:`_epoch_draws`.
 
-    The word's uniform ``u`` falls into one of five intervals, the outcomes
-    in order: a tie, left first with the right side within ``n`` cycles,
-    right first with the left within ``n``, left first alone, right first
-    alone.  Within ``n``, the later herald's offset inverts the truncated
-    geometric law at the word's place inside its interval; it is 0 on a tie
-    and ``n + 1`` alone.
+    The word's uniform ``u`` falls into one of six intervals, the outcomes
+    in order: a true tie, a false tie, left first with the right side within
+    ``n`` cycles, right first with the left within ``n``, left first alone,
+    right first alone.  Within ``n``, the later herald's offset inverts the
+    truncated geometric law at the word's place inside its interval; it is 0
+    on a tie and ``n + 1`` alone.
     """
     n, p = config.n, config.herald.p_any
-    ends, c = _category_ends(p, n)
+    ends, c = _category_ends(p, config.herald.pair_true_fraction, n)
     steps = [math.ceil(t * 2**53) for t in ends]  # the ends in steps of 2**-53
     for gap, word in _epoch_draws(config):
         outcome = sum((word >> 11) * 2**-53 >= t for t in ends)
-        if outcome in (1, 2):
+        if outcome in (2, 3):
             lo, hi = steps[outcome - 1], steps[outcome]
             place = ((word >> 11) - lo) / (hi - lo)
             offset = min(n, max(1, math.ceil(math.log1p(-place * c) / math.log1p(-p))))
         else:
-            offset = 0 if outcome == 0 else n + 1
+            offset = 0 if outcome < 2 else n + 1
         yield gap, outcome, offset
 
 
@@ -399,14 +400,13 @@ def _reference_omniscient(config):
     outcome, offset)`` of :func:`_reference_epochs` each.
 
     An epoch's first herald comes ``gap`` cycles after it starts, and the
-    other side's, if any, ``offset`` cycles after that.  A counted pair's
-    truth comes from :func:`_pair_truths`.  ``des_run`` draws the same law a
-    chunk of epochs at a time in omniscient mode; with :class:`_ReferenceDraws`
-    standing in for its draws, the two must agree field for field.
+    other side's, if any, ``offset`` cycles after that.  A counted pair is
+    true on a true tie.  ``des_run`` draws the same law a chunk of epochs at
+    a time in omniscient mode; with :class:`_ReferenceDraws` standing in for
+    its draws, the two must agree field for field.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     epochs = _reference_epochs(config)
-    truths = _pair_truths(config)
     sides = ("left", "right")
     heralds = [0, 0]
     true_pairs = false_pairs = both_open = 0
@@ -424,7 +424,7 @@ def _reference_omniscient(config):
             both_open += _open_cycles(t0, total - 1, warmup, total)
             break
         both_open += _open_cycles(t0, bin, warmup, total)
-        first = (0, 0, 1, 0, 1)[outcome]
+        first = (0, 0, 0, 1, 0, 1)[outcome]
         second = 1 - first
         late = bin + offset
         if bin >= warmup:
@@ -440,7 +440,7 @@ def _reference_omniscient(config):
         if late == bin:
             if deadline < total:
                 if bin >= warmup:
-                    if next(truths):
+                    if outcome == 0:
                         true_pairs += 1
                     else:
                         false_pairs += 1
@@ -459,14 +459,15 @@ _ENGINE_DRAWS = protocol._EpochDraws
 class _ReferenceDraws:
     """Stands in for ``protocol._EpochDraws``: a chunk's epochs are drawn one by
     one from :func:`_reference_epochs`, and its summed waits, outcome
-    counts, splits and expansions are read off them.
+    counts, splits and expansions, and a lone epoch's outcome and offset, are
+    read off them.
 
     The engine settles a chunk's epochs front to back, so the epochs of the
     chunk or part it asks about are always at the front of ``pending``.
     """
 
-    def __init__(self, config):
-        self.r = _ENGINE_DRAWS(config).r  # the engine's chunk sizes
+    def __init__(self, config, model):
+        self.r = _ENGINE_DRAWS(config, model).r  # the engine's chunk sizes
         self.gen = None
         self.epochs = _reference_epochs(config)
         self.pending = deque()  # epochs drawn and not yet counted or played
@@ -486,7 +487,11 @@ class _ReferenceDraws:
 
     def counts(self, k):
         self.counted = [self.pending.popleft() for _ in range(k)]
-        return [sum(outcome == o for _, outcome, _ in self.counted) for o in range(5)]
+        return [sum(outcome == o for _, outcome, _ in self.counted) for o in range(6)]
+
+    def single(self):
+        _, outcome, offset = self.pending.popleft()
+        return outcome, offset
 
     def expand(self, k, span, counts, gen):
         assert len(self.counted) == k and sum(gap for gap, _, _ in self.counted) == span
@@ -597,11 +602,15 @@ def _drawn_by_reference(monkeypatch):
             return super().split(*args)
 
         def counts(self, k):
-            calls["chunk" if k > 1 else "single"] += 1
+            calls["chunk"] += 1
             return super().counts(k)
 
+        def single(self):
+            calls["single"] += 1
+            return super().single()
+
         def expand(self, k, *args):
-            calls["traced chunk" if k > 1 else "played single"] += 1
+            calls["traced chunk"] += 1
             return super().expand(k, *args)
 
     monkeypatch.setattr(protocol, "_EpochDraws", Recorded)
@@ -628,7 +637,7 @@ class TestOmniscientEngineMatchesReference:
                 seen |= _coverage(config, stats)
             assert {name for name, hit in seen if hit} == {name for name, _ in seen}
         assert min(calls.values()) >= 50, calls
-        assert set(calls) == {"split", "chunk", "single", "traced chunk", "played single"}
+        assert set(calls) == {"split", "chunk", "single", "traced chunk"}
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_runs_of_many_blocks(self, case, monkeypatch):
@@ -673,7 +682,8 @@ class TestHeraldStream:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_block_size_does_not_change_the_run(self, case, monkeypatch):
         """Neither engine depends on ``_BLOCK``: the literal sides' gaps and
-        both engines' pair truths are drawn ahead in blocks of it."""
+        pair truths are drawn ahead in blocks of it, and the omniscient engine
+        does not read it."""
         configs = [SimConfig(mode=mode, **BLOCK_CASES[case]) for mode in SimMode]
         expected = [des_run(config) for config in configs]
         herald_blocks = protocol._herald_blocks
@@ -699,9 +709,9 @@ class TestHeraldStream:
         places and the trace swaps left and right.  The literal sides swap
         gap streams, which pins the literal engine's swapped per-side locals,
         whichever side ends the run.  The omniscient outcomes trade left-first
-        and right-first, in a chunk's counts and in every epoch expanded from
-        them, with the same draws, which pins which side each outcome and each
-        chunk count stands for."""
+        and right-first, in a chunk's counts, in every epoch expanded from
+        them and in every lone epoch, with the same draws, which pins which
+        side each outcome and each chunk count stands for."""
         rng = random.Random(20134)
         cap = 10**6  # above every run's event count, so the whole trace is kept
         configs = [
@@ -722,12 +732,16 @@ class TestHeraldStream:
         monkeypatch.setattr(
             protocol, "_herald_blocks", lambda seed, model, side: herald_blocks(seed, model, 1 - side)
         )
-        swap = (0, 2, 1, 4, 3)  # left first <-> right first
+        swap = (0, 1, 3, 2, 5, 4)  # left first <-> right first
 
         class Mirrored(_ENGINE_DRAWS):
             def counts(self, k):
                 counts = super().counts(k)
                 return [counts[s] for s in swap]
+
+            def single(self):
+                outcome, offset = super().single()
+                return swap[outcome], offset
 
             def expand(self, k, span, counts, gen):
                 for wait, outcome, offset in super().expand(k, span, [counts[s] for s in swap], gen):
@@ -832,15 +846,18 @@ class TestHeraldStream:
         """Each draw of the omniscient engine against the law its docstring
         states, within 4 SE: a lone epoch's wait is ``Geom(1 - q**2)`` in mean
         and tail; a chunk's summed waits have the mean and variance of ``k``
-        such waits; its outcome counts have the frequencies ``a``, ``s c``,
-        ``s c``, ``s (1 - c)``, ``s (1 - c)``, here from the joint law of two
-        independent geometric waits; a split's head has the mean and variance
-        of a uniform composition's first parts (beta-binomial); an expanded
-        chunk keeps its sums, puts each outcome at each place with frequency
-        ``count / k``, and places a later herald within ``n`` by the geometric
-        law truncated to ``[1, n]``."""
-        config = SimConfig(beta_qd=1.0, beta_ms=p, n=n, total_cycles=10**6, seed=5)
-        draws = protocol._EpochDraws(config)
+        such waits; its outcome counts have the frequencies ``a tf**2``,
+        ``a (1 - tf**2)``, ``s c``, ``s c``, ``s (1 - c)``, ``s (1 - c)``, here
+        from the joint law of two independent geometric waits; a split's head
+        has the mean and variance of a uniform composition's first parts
+        (beta-binomial); an expanded chunk keeps its sums, puts each outcome at
+        each place with frequency ``count / k``, and places a later herald
+        within ``n`` by the geometric law truncated to ``[1, n]``.  Dark counts
+        make some heralds false, so both kinds of tie come."""
+        config = SimConfig(beta_qd=1.0, beta_ms=p, n=n, total_cycles=10**6, seed=5, p_dc=0.01)
+        draws = protocol._EpochDraws(config, config.herald)
+        p, tf2 = config.herald.p_any, config.herald.pair_true_fraction
+        assert 0.0 < tf2 < 1.0
         q = 1.0 - p
         first = 1.0 - q * q  # some side heralds in a cycle
 
@@ -868,8 +885,9 @@ class TestHeraldStream:
 
         c = 1.0 - q**n
         tie, alone = p * p / first, p * q / first
-        law = [tie, alone * c, alone * c, alone * (1.0 - c), alone * (1.0 - c)]
-        assert draws.law == pytest.approx(law, rel=1e-12, abs=1e-300)
+        law = [tie * tf2, tie * (1.0 - tf2), alone * c, alone * c, alone * (1.0 - c),
+               alone * (1.0 - c)]
+        assert draws.law.tolist() == pytest.approx(law, rel=1e-12, abs=1e-300)
         counts = np.sum([draws.counts(1000) for _ in range(100)], axis=0)
         for hits, probability in zip(counts, law):
             assert frequency_within_4_se(int(hits), 100_000, probability), (hits, probability)
@@ -883,17 +901,17 @@ class TestHeraldStream:
         assert abs(heads.var(ddof=1) - variance) <= 0.05 * variance
         assert heads.min() >= 0 and heads.max() <= excess
 
-        k, span, chunk_counts = 6, 6 + 40, [1, 2, 1, 1, 1]
+        k, span, chunk_counts = 7, 7 + 40, [1, 1, 2, 1, 1, 1]
         gen = draws.stream(protocol._ORDER)
         expanded = [list(draws.expand(k, span, chunk_counts.copy(), gen)) for _ in range(4000)]
         offsets = []
         for epochs in expanded:
             waits, outcomes, _ = zip(*epochs)
             assert sum(waits) == span and min(waits) >= 1
-            assert [outcomes.count(o) for o in range(5)] == chunk_counts
-            offsets += [offset for _, outcome, offset in epochs if outcome in (1, 2)]
+            assert [outcomes.count(o) for o in range(6)] == chunk_counts
+            offsets += [offset for _, outcome, offset in epochs if outcome in (2, 3)]
             for _, outcome, offset in epochs:
-                assert offset == (0 if outcome == 0 else n + 1) or outcome in (1, 2)
+                assert offset == (0 if outcome < 2 else n + 1) or outcome in (2, 3)
         for place in range(k):
             assert within_4_se([epochs[place][0] for epochs in expanded], span / k,
                                (span / k) ** 2)  # a loose variance: each wait is below span
@@ -905,20 +923,71 @@ class TestHeraldStream:
             probability = q ** (d - 1) * p / c
             assert frequency_within_4_se(offsets.count(d), len(offsets), probability), d
 
+    @pytest.mark.parametrize(
+        "p_true, p_false, n",
+        [
+            (0.05, 0.03, 8),  # every outcome
+            (0.2, 0.0, 5),  # tf = 1: no false tie
+            (0.0, 0.1, 5),  # tf = 0: no true tie
+            (0.6, 0.4, 5),  # p = 1: ties only
+            (1.0, 0.0, 5),  # p = 1, tf = 1: true ties only
+        ],
+    )
+    def test_lone_epochs_follow_the_law(self, p_true, p_false, n):
+        """``single`` draws a lone epoch's outcome from one uniform of the run's
+        stream, bisected against the law's cumulative ends, and a second
+        uniform only to place a later herald within ``n``.  Over 40000 draws
+        each outcome's frequency lies within 4 SE (z = 4) of ``law``, so an
+        outcome of probability 0 never comes; a later herald within ``n``
+        lands at offset ``d`` with the geometric law on ``[1, n]``,
+        ``q**(d - 1) p / c``; a tie's offset is 0 and a lone side's ``n + 1``."""
+        model = HeraldModel(p_true=p_true, p_false=p_false)
+        config = SimConfig(beta_qd=0.5, beta_ms=0.5, n=n, total_cycles=10**6, seed=5)
+        draws = protocol._EpochDraws(config, model)
+        count = 40_000
+        singles = [draws.single() for _ in range(count)]
+        law = draws.law.tolist()
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
+        hits = collections.Counter(outcome for outcome, _ in singles)
+        assert set(hits) <= set(range(6))
+        for outcome, probability in enumerate(law):
+            se = math.sqrt(probability * (1.0 - probability) / count)
+            assert abs(hits[outcome] / count - probability) <= 4.0 * se, (outcome, probability)
+        # The same stream from its start: one uniform per epoch, two within n.
+        twin, ends = draws.stream(protocol._GAP), list(itertools.accumulate(law))
+        last = max(o for o, probability in enumerate(law) if probability > 0)
+        for outcome, offset in singles[:5000]:
+            u = twin.random()
+            assert (ends[outcome - 1] if outcome else 0.0) <= u, (outcome, u)
+            assert u < ends[outcome] or outcome == last, (outcome, u)
+            if outcome in (2, 3):
+                twin.random()
+            else:
+                assert offset == (0 if outcome < 2 else n + 1)
+        p = model.p_any
+        offsets = [offset for outcome, offset in singles if outcome in (2, 3)]
+        assert bool(offsets) == (p < 1.0)
+        if offsets:
+            q, c = 1.0 - p, 1.0 - (1.0 - p) ** n
+            for d in range(1, n + 1):
+                probability = q ** (d - 1) * p / c
+                se = math.sqrt(probability * (1.0 - probability) / len(offsets))
+                assert abs(offsets.count(d) / len(offsets) - probability) <= 4.0 * se, d
+
     @pytest.mark.parametrize("beta_qd, n", [(0.003, 3), (0.5, 2000)])
     def test_outcome_law_at_its_edges(self, beta_qd, n):
-        """The outcome law sums to 1 and its cumulative ends are the five
+        """The outcome law sums to 1 and its cumulative ends are the six
         intervals the reference sorts a word into.  At ``p n > 745`` (the
         second case) ``q**n`` underflows, so ``c = 1`` and the alone outcomes
         have probability 0 exactly: every epoch heralds on both sides, in
         chunks counted whole and in epochs expanded for the trace."""
         config = SimConfig(beta_qd=beta_qd, beta_ms=1.0, n=n, total_cycles=10**6, seed=5)
-        law = protocol._EpochDraws(config).law
-        ends, c = _category_ends(config.herald.p_any, n)
+        law = protocol._EpochDraws(config, config.herald).law.tolist()
+        ends, c = _category_ends(config.herald.p_any, config.herald.pair_true_fraction, n)
         assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
-        assert list(itertools.accumulate(law))[:4] == pytest.approx(ends, rel=1e-15)
+        assert list(itertools.accumulate(law))[:5] == pytest.approx(ends, rel=1e-15)
         if n == 2000:
-            assert c == 1.0 and law[3:] == (0.0, 0.0)
+            assert c == 1.0 and law[4:] == [0.0, 0.0]
         for trace_limit in (0, 10**6):
             stats = des_run(dataclasses.replace(config, trace_limit=trace_limit))
             assert stats.true_coincidences > 0
@@ -929,10 +998,11 @@ class TestHeraldStream:
         nothing that matters: it equals the reference and every other seed's
         run.  At ``p = 0`` no herald comes, and the engine draws nothing."""
         lossless = SimConfig(beta_qd=1.0, beta_ms=1.0, n=7, total_cycles=5000, seed=3)
-        draws = protocol._EpochDraws(lossless)
-        assert draws.law == (1.0, 0.0, 0.0, 0.0, 0.0)
+        draws = protocol._EpochDraws(lossless, lossless.herald)
+        assert draws.law.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert [draws.span(k) for k in (1, 2, 1000)] == [1, 2, 1000]
-        assert draws.counts(1000) == [1000, 0, 0, 0, 0]
+        assert draws.counts(1000) == [1000, 0, 0, 0, 0, 0]
+        assert {draws.single() for _ in range(1000)} == {(0, 0)}
         for trace_limit in (0, 100):
             run = dataclasses.replace(lossless, trace_limit=trace_limit)
             stats = des_run(run)
@@ -1107,10 +1177,9 @@ class TestSimConfig:
     def test_every_accepted_config_runs_cleanly(self, fields):
         """Any config that ``SimConfig`` accepts runs in both modes with no
         warning but the short-run one, and its ``SimStats`` pass their own
-        checks and serialise.  Omniscient runs take up to 2**62 cycles, but
-        only while no pair truth is drawn: ``_true_pairs`` costs one word per
-        pair.  Literal runs take one step per herald, so their cycles are
-        capped."""
+        checks and serialise.  Omniscient runs take up to 2**62 cycles, dark
+        counts or not.  Literal runs take one step per herald, so their
+        cycles are capped."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.filterwarnings("ignore", "total_cycles below 10", UserWarning)
@@ -1121,8 +1190,6 @@ class TestSimConfig:
             runs = [config, dataclasses.replace(
                 config, mode=SimMode.LITERAL, total_cycles=min(config.total_cycles, 5000)
             )]
-            if config.herald.pair_true_fraction < 1.0:
-                runs[0] = dataclasses.replace(config, total_cycles=min(config.total_cycles, 10**6))
             for run in runs:
                 stats = des_run(run)
                 assert stats == dataclasses.replace(stats)  # SimStats.__post_init__ once more
@@ -1212,20 +1279,22 @@ class TestDesRun:
             stats = des_run(config)
         assert stats.heralds_left == stats.heralds_right == 0
 
-    def test_cost_does_not_grow_with_the_cycles(self):
-        """An omniscient run draws chunks of epochs, so a run of 10**12 cycles
-        at the 10 km default point (``p = 0.0251``, ``n = 100``) takes under
-        50 ms, and its rate lies within 3 SE of the chain.  The SE is the
-        regenerative closed form: ``X`` (a pair) is Bernoulli(``a``) and
-        independent of ``M``, so ``sigma**2 = a (1 - a) + R**2 Var(M)`` with
-        ``R = a / E[L]``, and ``Var(R) = sigma**2 / (T E[L])``."""
+    @staticmethod
+    def _default_point_run(cycles, detector=None):
+        """One omniscient run at the 10 km default point (``p = 0.0251``,
+        ``n = 100``), timed after numpy's first calls, and the distance of
+        its rate from the chain in closed-form SEs.  The SE is regenerative:
+        ``X`` (a pair) is Bernoulli(``a``) and independent of ``M``, so
+        ``sigma**2 = a (1 - a) + R**2 Var(M)`` with ``R = a / E[L]``, and
+        ``Var(R) = sigma**2 / (T E[L])``."""
         config = SimConfig.from_hardware(
-            LossBudget(10.0, 5.0), ChannelGeometry(10.0), total_cycles=10**12, seed=1
+            LossBudget(10.0, 5.0), ChannelGeometry(10.0), total_cycles=cycles, seed=1,
+            detector=detector,
         )
         des_run(dataclasses.replace(config, total_cycles=10**6))  # numpy's first calls
         start = time.perf_counter()
         stats = des_run(config)
-        assert time.perf_counter() - start < 0.05
+        seconds = time.perf_counter() - start
         p, n, tau_s = config.herald.p_any, config.n, 500e-9
         assert (round(p, 4), n) == (0.0251, 100)
         q, a = 1.0 - p, p / (2.0 - p)
@@ -1236,7 +1305,30 @@ class TestDesRun:
         se = math.sqrt(sigma2 / (stats.measured_cycles * mean_l)) / tau_s
         chain = rate_from_stationary(stationary_open_prob(n, p), p * p, tau_s)
         assert chain == pytest.approx(per_cycle / tau_s, rel=1e-9)
-        assert abs(stats.rate_hz - chain) <= 3.0 * se
+        return config, stats, seconds, (stats.rate_hz - chain) / se
+
+    def test_cost_does_not_grow_with_the_cycles(self):
+        """An omniscient run draws chunks of epochs, so a run of 10**12 cycles
+        at the 10 km default point takes under 50 ms, and its rate lies
+        within 3 SE of the chain."""
+        _, _, seconds, z = self._default_point_run(10**12)
+        assert seconds < 0.05
+        assert abs(z) <= 3.0
+
+    def test_cost_does_not_grow_with_dark_counts(self):
+        """A tie's truth is an outcome of the epoch law, so dark counts cost
+        nothing either: at a 100 Hz dark-count rate (1 ns window), a run of
+        10**11 cycles at the 10 km default point takes under 50 ms, its rate
+        lies within 3 SE of the chain, and its false pairs lie within 3
+        binomial SEs of ``pairs (1 - tf**2)``."""
+        config, stats, seconds, z = self._default_point_run(10**11, DetectorModel(100.0, 1.0))
+        assert seconds < 0.05
+        assert abs(z) <= 3.0
+        false = stats.false_coincidences
+        pairs = stats.true_coincidences + false
+        share = 1.0 - config.herald.pair_true_fraction
+        assert 0.0 < share < 1e-3 and false > 0
+        assert abs(false - pairs * share) <= 3.0 * math.sqrt(pairs * share * (1.0 - share))
 
     @pytest.mark.parametrize("p, n, total", [(0.1, 50, 10_000_000), (0.01, 500, 100_000_000)])
     def test_omniscient_spread_matches_the_regenerative_variance(self, p, n, total):
@@ -1396,7 +1488,11 @@ class TestDesRun:
 # They were recorded once more when the omniscient engine began to draw
 # chunks of epochs with numpy's Generator distributions (negative binomial,
 # multinomial, beta-binomial splits), which NEP 19 does not freeze: these
-# seven pins depend on numpy's algorithms, the literal ones do not.
+# seven pins depend on numpy's algorithms, the literal ones do not.  They
+# were last recorded, with numpy 2.4.6, when a tie's truth became an outcome
+# of the epoch law and a lone epoch began to take one uniform instead of a
+# one-epoch multinomial; each names that version, so that a failure on
+# another numpy says why.  No literal pin changed.
 # Any change to event order, warm-up accounting, the herald draws or the rate
 # arithmetic shows up here as an inequality.
 GOLDEN_CASES = {
@@ -1421,18 +1517,19 @@ GOLDEN_CASES = {
 }
 
 GOLDEN_STATS = {
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("p001_n500", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=1000000,
         warmup_cycles=1000,
         measured_cycles=999000,
         tau_c_ns=500.0,
-        heralds_left=1807,
-        heralds_right=1809,
+        heralds_left=1811,
+        heralds_right=1813,
         true_coincidences=15,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.09228928928928928,
+        open_fraction=0.09017317317317318,
         rate_hz=30.030030030030023,
         infidelity_estimate=0.0,
     ),
@@ -1451,20 +1548,21 @@ GOLDEN_STATS = {
         rate_hz=8.008008008008007,
         infidelity_estimate=0.0,
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("dark_counts", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=50000,
         warmup_cycles=40,
         measured_cycles=49960,
         tau_c_ns=500.0,
-        heralds_left=1671,
-        heralds_right=1692,
-        true_coincidences=48,
-        false_coincidences=25,
+        heralds_left=1642,
+        heralds_right=1669,
+        true_coincidences=42,
+        false_coincidences=26,
         one_sided_confirms=0,
-        open_fraction=0.2554243394715773,
-        rate_hz=2922.3378702962364,
-        infidelity_estimate=0.3424657534246575,
+        open_fraction=0.2567253803042434,
+        rate_hz=2722.1777421937545,
+        infidelity_estimate=0.38235294117647056,
     ),
     ("dark_counts", "literal"): SimStats(
         mode='literal',
@@ -1481,33 +1579,34 @@ GOLDEN_STATS = {
         rate_hz=1361.0888710968773,
         infidelity_estimate=0.2647058823529412,
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("trace", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=3000,
         warmup_cycles=12,
         measured_cycles=2988,
         tau_c_ns=500.0,
-        heralds_left=297,
-        heralds_right=303,
-        true_coincidences=48,
+        heralds_left=300,
+        heralds_right=292,
+        true_coincidences=41,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.3149263721552878,
-        rate_hz=32128.514056224893,
+        open_fraction=0.3152610441767068,
+        rate_hz=27443.105756358764,
         infidelity_estimate=0.0,
         trace=(
-            (1, "right", "herald"), (2, "left", "herald"),
-            (7, "right", "timeout"), (8, "right", "herald"),
-            (11, "left", "herald"), (14, "right", "timeout"),
-            (15, "left", "herald"), (21, "right", "herald"),
-            (21, "left", "timeout"), (26, "left", "herald"),
+            (1, "left", "herald"), (3, "right", "herald"),
+            (7, "left", "timeout"), (8, "left", "herald"),
+            (10, "right", "herald"), (14, "left", "timeout"),
+            (15, "right", "herald"), (21, "left", "herald"),
+            (21, "right", "timeout"), (26, "left", "herald"),
             (30, "right", "herald"), (32, "left", "timeout"),
             (34, "left", "herald"), (38, "right", "herald"),
             (40, "left", "timeout"), (42, "right", "herald"),
             (44, "left", "herald"), (48, "right", "timeout"),
-            (53, "right", "herald"), (55, "left", "herald"),
-            (59, "right", "timeout"), (65, "right", "herald"),
-            (70, "left", "herald"), (71, "right", "timeout"),
+            (53, "left", "herald"), (59, "left", "timeout"),
+            (61, "right", "herald"), (66, "left", "herald"),
+            (67, "right", "timeout"), (69, "left", "herald"),
         ),
     ),
     ("trace", "literal"): SimStats(
@@ -1539,24 +1638,25 @@ GOLDEN_STATS = {
             (57, "right", "timeout"), (58, "right", "stale_ignored"),
         ),
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("n1", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=20000,
         warmup_cycles=2,
         measured_cycles=19998,
         tau_c_ns=500.0,
-        heralds_left=4831,
-        heralds_right=4783,
+        heralds_left=4821,
+        heralds_right=4847,
         true_coincidences=1220,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.6627662766276627,
+        open_fraction=0.6610661066106611,
         rate_hz=122012.201220122,
         infidelity_estimate=0.0,
         trace=(
-            (3, "right", "herald"), (4, "left", "herald"),
-            (4, "right", "timeout"), (5, "left", "herald"),
-            (6, "left", "timeout"), (7, "left", "herald"),
+            (3, "left", "herald"), (4, "left", "timeout"),
+            (5, "left", "herald"), (6, "left", "timeout"),
+            (7, "left", "herald"), (7, "right", "herald"),
         ),
     ),
     ("n1", "literal"): SimStats(
@@ -1619,20 +1719,21 @@ GOLDEN_STATS = {
             (8, "left", "herald"), (8, "right", "herald"),
         ),
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("beta_qd_1_dark", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=30000,
         warmup_cycles=30,
         measured_cycles=29970,
         tau_c_ns=500.0,
-        heralds_left=1778,
-        heralds_right=1779,
-        true_coincidences=301,
-        false_coincidences=43,
+        heralds_left=1781,
+        heralds_right=1782,
+        true_coincidences=270,
+        false_coincidences=51,
         one_sided_confirms=0,
-        open_fraction=0.1085085085085085,
-        rate_hz=22956.289622956287,
-        infidelity_estimate=0.125,
+        open_fraction=0.1066066066066066,
+        rate_hz=21421.42142142142,
+        infidelity_estimate=0.1588785046728972,
     ),
     ("beta_qd_1_dark", "literal"): SimStats(
         mode='literal',
@@ -1679,19 +1780,20 @@ GOLDEN_STATS = {
         rate_hz=0.0,
         infidelity_estimate=None,
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("beta_qd_0_dark", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=40000,
         warmup_cycles=20,
         measured_cycles=39980,
         tau_c_ns=500.0,
-        heralds_left=2220,
-        heralds_right=2178,
+        heralds_left=2228,
+        heralds_right=2255,
         true_coincidences=0,
-        false_coincidences=155,
+        false_coincidences=147,
         one_sided_confirms=0,
-        open_fraction=0.3457978989494747,
-        rate_hz=7753.876938469233,
+        open_fraction=0.3349674837418709,
+        rate_hz=7353.676838419208,
         infidelity_estimate=1.0,
     ),
     ("beta_qd_0_dark", "literal"): SimStats(
@@ -1709,6 +1811,7 @@ GOLDEN_STATS = {
         rate_hz=4152.076038019009,
         infidelity_estimate=1.0,
     ),
+    # Recorded with numpy 2.4.6 (six-outcome law, one-uniform lone epochs).
     ("short_run", "omniscient"): SimStats(
         mode='omniscient',
         cycles_run=500,
@@ -1720,15 +1823,15 @@ GOLDEN_STATS = {
         true_coincidences=0,
         false_coincidences=0,
         one_sided_confirms=0,
-        open_fraction=0.02,
+        open_fraction=0.02666666666666667,
         rate_hz=0.0,
         infidelity_estimate=None,
         trace=(
-            (0, "left", "herald"), (6, "right", "herald"),
-            (100, "left", "timeout"), (101, "left", "herald"),
-            (101, "right", "herald"), (201, "both", "confirm"),
-            (202, "left", "herald"), (207, "right", "herald"),
-            (302, "left", "timeout"),
+            (0, "right", "herald"), (6, "left", "herald"),
+            (100, "right", "timeout"), (103, "left", "herald"),
+            (103, "right", "herald"), (203, "both", "confirm"),
+            (204, "left", "herald"), (209, "right", "herald"),
+            (304, "left", "timeout"),
         ),
     ),
     ("short_run", "literal"): SimStats(
