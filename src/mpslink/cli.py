@@ -173,6 +173,15 @@ _RATE_KEYS = f"{_LOSS_KEYS} delay_us_per_km tau_c_ns"
 _Rule = tuple[str, Callable[[RunConfig], object]]
 
 
+def _rate_ends(config: RunConfig, distances: list[float]) -> None:
+    """Raise ValueError if an analytic rate leaves the normal floats on ``distances``.
+
+    The rates fall with distance, so the ends of a sweep bound them.
+    """
+    for length_km in dict.fromkeys((distances[0], distances[-1])):
+        _point_report(config, length_km, simulate=False)
+
+
 def _validate(
     settings: dict[str, object], lines: dict[str, str], rules: tuple[_Rule, ...] = ()
 ) -> RunConfig:
@@ -192,11 +201,6 @@ def _validate(
                 f"the transmission underflows at {length_km} km: losses of {alpha1:g} dB (MPI)"
                 f" and {side.alpha2_db:g} dB (MPS)"
             )
-
-    def rates(distances: list[float]) -> None:
-        # The rates fall with distance, so the ends of a sweep bound them.
-        for length_km in dict.fromkeys((distances[0], distances[-1])):
-            _point_report(config, length_km, simulate=False)
 
     # Keys of each check; a rule on several keys is reported at the last of
     # them that the input set, so the error names a flag or line.
@@ -221,8 +225,8 @@ def _validate(
         ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
         (f"{_LOSS_KEYS} length_km", lambda: transmissions(config.length_km)),
         (f"{_LOSS_KEYS} sweep", lambda: transmissions(max(config.sweep_distances()))),
-        (f"{_RATE_KEYS} length_km", lambda: rates([config.length_km])),
-        (f"{_RATE_KEYS} sweep", lambda: rates(config.sweep_distances())),
+        (f"{_RATE_KEYS} length_km", lambda: _rate_ends(config, [config.length_km])),
+        (f"{_RATE_KEYS} sweep", lambda: _rate_ends(config, config.sweep_distances())),
         *((keys, partial(rule, config)) for keys, rule in rules),
     )
     for keys, check in checks:
@@ -459,16 +463,35 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 # Reference loss profiles for the preset distance sweep: (alpha_qd_db, alpha_bsm_db).
 FIG4_PROFILES = {"square": (10.0, 5.0), "triangle": (20.0, 10.0)}
+_FIG4_SWEEP = "10:100:5"
+# The rate keys that the profiles leave as configured; fig4's rate rule is reported at them.
+_FIG4_RATE_KEYS = " ".join(
+    key for key in _RATE_KEYS.split() if key not in ("alpha_qd_db", "alpha_bsm_db")
+)
+
+
+def _fig4_configs(config: RunConfig) -> dict[str, RunConfig]:
+    """``config`` at each of fig4's loss profiles, by profile name."""
+    return {
+        profile: replace(config, alpha_qd_db=alpha_qd, alpha_bsm_db=alpha_bsm)
+        for profile, (alpha_qd, alpha_bsm) in FIG4_PROFILES.items()
+    }
+
+
+def _rate_fig4(config: RunConfig) -> None:
+    """Rate every fig4 profile at the ends of fig4's sweep."""
+    distances = _parse_sweep(_FIG4_SWEEP)
+    for profile_config in _fig4_configs(config).values():
+        _rate_ends(profile_config, distances)
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, ((_FIG4_RATE_KEYS, _rate_fig4),))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    distances = _parse_sweep("10:100:5")
+    distances = _parse_sweep(_FIG4_SWEEP)
     written = []
-    for profile, (alpha_qd, alpha_bsm) in FIG4_PROFILES.items():
-        profile_config = replace(config, alpha_qd_db=alpha_qd, alpha_bsm_db=alpha_bsm)
+    for profile, profile_config in _fig4_configs(config).items():
         # One table per profile: its rows carry both schemes (g1 for MPI, g2 for MPS).
         path = outdir / f"fig4_{profile}.csv"
         emit(sweep_rates(profile_config, distances), "csv", path)

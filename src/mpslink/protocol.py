@@ -30,6 +30,10 @@ deadline ``b + n`` if there is no such herald.  The reset is a confirm if
 ``h == b``, a mismatch reset if ``h < b`` and a timeout if there is no
 ``h``.  Heralds are handled in cycle order, both sides together on a tie,
 so ``r`` and the side's next herald are known as soon as ``b`` is handled.
+Each side keeps a deque of its landings ``h + n``, ending with its pending
+herald's, which never pops; so ``r`` is the first landing left after
+``b``, capped at ``b + n``.  The warm-up is a first pass over the heralds,
+whose counts are dropped, so the measured pass tests no cycle against it.
 The omniscient engine is a renewal sampler (Ross, *Stochastic Processes*,
 ch. 3).  Its epochs run from both sides open to both sides reopening and
 are independent.  An epoch needs only its first herald's wait, of law
@@ -367,7 +371,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimStats:
-    """Aggregated outcome of one run.  Field names are the JSON contract."""
+    """Aggregated outcome of one run.  Field names are the JSON contract.
+
+    The herald counts, the pairs (true and false coincidences) and the
+    both-open cycles behind ``open_fraction`` exclude the warm-up: they count
+    heralds and pair bins from cycle ``warmup_cycles`` on, and open cycles in
+    the ``measured_cycles`` after it.  ``one_sided_confirms`` counts from
+    cycle 0 in literal runs and is 0 in omniscient ones.
+    """
 
     mode: str
     cycles_run: int
@@ -477,12 +488,13 @@ def _true_pairs(seed: int, model: HeraldModel, pairs: int) -> int:
     ``u < f`` iff ``w >> 11 < ceil(f * 2**53)`` iff
     ``w < ceil(f * 2**53) << 11``, which stays below 2**64; the words are
     compared raw, ``_BLOCK`` at a time.  At ``f = 1`` every pair is true and
-    nothing is drawn.  Only the count of pairs enters, so a run does not
-    depend on the trace, on ``_BLOCK`` or on the order in which the engine
-    finds its pairs.  Raw words keep literal runs free of numpy's algorithms.
+    nothing is drawn, nor with no pairs.  Only the count of pairs enters, so
+    a run does not depend on the trace, on ``_BLOCK`` or on the order in
+    which the engine finds its pairs.  Raw words keep literal runs free of
+    numpy's algorithms.
     """
     fraction = model.pair_true_fraction
-    if fraction >= 1.0:
+    if fraction >= 1.0 or pairs == 0:
         return pairs
     bits = np.random.Philox(np.random.SeedSequence([seed, _BOTH, _TRUTH]))
     below = np.uint64(math.ceil(fraction * 2.0**53) << 11)
@@ -724,13 +736,23 @@ def _run_literal(config: SimConfig) -> SimStats:
     input to ``r`` is then known when a herald is handled, so the side's next
     draw is taken at once, and each side takes its draws in the order that
     :func:`receiver_step` would.  Side ``me`` heralds next and ``you`` is the
-    other: each side's index, next herald, deque of landing cycles ``h + n``
-    that can still reset the other side, draw function and herald count are
-    locals that swap when ``you`` leads, so the single-side rule appears
-    once.  A confirm needs the other side to herald in the same cycle, so
-    pairs and one-sided confirms come only from ties.  Heralds carry no
-    truth: :func:`_true_pairs` splits the counted pairs once the run is over.
-    Both sides are open outside the holds ``(b, r]``.
+    other: each side's index, next herald, deque of landing cycles, draw
+    function and herald count are locals that swap when ``you`` leads, so
+    the single-side rule appears once.  A side's deque holds the landings
+    ``h + n`` of its heralds that can still reset the other side, then the
+    landing of its pending herald.  That last landing lies past the cycle
+    being handled, so popping the landings at or before ``b`` never empties
+    the deque, and ``r = min(first landing left, b + n)``.  A confirm needs
+    the other side to herald in the same cycle, so pairs and one-sided
+    confirms come only from ties.  Heralds carry no truth: :func:`_true_pairs`
+    splits the counted pairs once the run is over.  Both sides are open
+    outside the holds ``(b, r]``.
+
+    The loop runs in two passes, over the heralds before the warm-up's end
+    and over the rest.  The first pass's herald, pair and both-open counts
+    are dropped and its holds are taken to end at ``warmup - 1`` at the
+    earliest, so the second counts from the warm-up's end with no test per
+    herald.  One-sided confirms count from cycle 0.
 
     The trace is rebuilt from the heralds, the resets, and the announcements
     that reset nobody and land on an open side (``stale_ignored``), in the
@@ -739,12 +761,12 @@ def _run_literal(config: SimConfig) -> SimStats:
     falls past the trace's end.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
-    trace_limit = config.trace_limit
+    model, trace_limit = config.herald, config.trace_limit
     me, you = 0, 1  # me heralds next; the sides' locals swap when you leads
-    draw_me, draw_you = (_herald_draws(config.seed, config.herald, s).__next__ for s in (0, 1))
+    draw_me, draw_you = (_herald_draws(config.seed, model, s).__next__ for s in (0, 1))
     next_me, next_you = draw_me() - 1, draw_you() - 1
-    sent_me, sent_you = deque(), deque()  # landings h + n that may still reset the other side
-    heralds_me = heralds_you = pairs = one_sided = both_open = 0
+    sent_me, sent_you = deque([next_me + n]), deque([next_you + n])  # landings, pending last
+    one_sided = 0
     closed_to = -1  # last cycle of the holds handled so far
 
     # Trace notes as (cycle, side, order, event): in one cycle a side's reset
@@ -762,62 +784,61 @@ def _run_literal(config: SimConfig) -> SimStats:
         if event != "timeout":
             resetting.add((1 - side, r - n))
 
-    while True:
-        if next_you < next_me:  # one pair per line: cheaper than longer tuple assignments
-            me, you = you, me
-            next_me, next_you = next_you, next_me
-            sent_me, sent_you = sent_you, sent_me
-            draw_me, draw_you = draw_you, draw_me
-            heralds_me, heralds_you = heralds_you, heralds_me
-        b = next_me
-        if b >= total:
-            break
-        if tracing and len(noted) >= trace_limit:
-            tracing = False
-        if b > closed_to:
-            # Both sides are open from closed_to + 1 through b: _open_cycles,
-            # inlined since b < total.
-            lo = closed_to + 1 if closed_to >= warmup else warmup
-            if b >= lo:
-                both_open += b - lo + 1
-        if b >= warmup:
+    for stop in (warmup, total):  # the warm-up pass, whose counts are dropped, then the rest
+        heralds_me = heralds_you = pairs = both_open = 0
+        closed_to = max(closed_to, warmup - 1)  # open cycles count from warmup on
+        while True:
+            if next_you < next_me:  # one pair per line: cheaper than longer tuple assignments
+                me, you = you, me
+                next_me, next_you = next_you, next_me
+                sent_me, sent_you = sent_you, sent_me
+                draw_me, draw_you = draw_you, draw_me
+                heralds_me, heralds_you = heralds_you, heralds_me
+            b = next_me
+            if b >= stop:
+                break
+            if b > closed_to:  # both sides are open from closed_to + 1 through b
+                both_open += b - closed_to
             heralds_me += 1
-        deadline = b + n  # also when the announcement of b lands
+            deadline = b + n  # also when the announcement of b lands
 
-        if b != next_you:  # me heralds alone
-            sent_me.append(deadline)
-            while sent_you and sent_you[0] <= b:
-                sent_you.popleft()
-            r = sent_you[0] if sent_you else deadline
-            if r > closed_to:
-                closed_to = r
-            if tracing:
-                note_hold(me, b, r, "timeout" if r == deadline else "mismatch_reset")
-            next_me = r + draw_me()
-            continue
+            if b != next_you:  # me heralds alone
+                while sent_you[0] <= b:
+                    sent_you.popleft()
+                r = sent_you[0]
+                if r > deadline:  # only the landing of you's pending herald is left
+                    r = deadline
+                if r > closed_to:
+                    closed_to = r
+                if tracing:
+                    note_hold(me, b, r, "timeout" if r == deadline else "mismatch_reset")
+                    tracing = len(noted) < trace_limit
+                next_me = r + draw_me()
+                sent_me.append(next_me + n)
+                continue
 
-        # Both sides herald at b; each resets on the other's first landing after b.
-        sent_me.append(deadline)
-        sent_you.append(deadline)
-        for theirs in sent_me, sent_you:
-            while theirs[0] <= b:
-                theirs.popleft()
-        r_me, r_you = sent_you[0], sent_me[0]
-        closed_to = max(closed_to, r_me, r_you)
-        if b >= warmup:
+            # Both sides herald at b; each resets on the other's first landing after b.
+            for theirs in sent_me, sent_you:
+                while theirs[0] <= b:
+                    theirs.popleft()
+            r_me, r_you = sent_you[0], sent_me[0]
+            closed_to = max(closed_to, r_me, r_you)
             heralds_you += 1
-        if tracing:
-            for side, r in (me, r_me), (you, r_you):
-                note_hold(side, b, r, "confirm" if r == deadline else "mismatch_reset")
-        next_me, next_you = r_me + draw_me(), r_you + draw_you()
-        confirms = (r_me == deadline) + (r_you == deadline)
-        if confirms and deadline < total:
-            if confirms == 1:
-                # The other side was reset by an earlier announcement and its
-                # spin is gone; the lone confirmation yields no pair.
-                one_sided += 1
-            elif b >= warmup:
-                pairs += 1
+            if tracing:
+                for side, r in (me, r_me), (you, r_you):
+                    note_hold(side, b, r, "confirm" if r == deadline else "mismatch_reset")
+                tracing = len(noted) < trace_limit
+            next_me, next_you = r_me + draw_me(), r_you + draw_you()
+            sent_me.append(next_me + n)
+            sent_you.append(next_you + n)
+            confirms = (r_me == deadline) + (r_you == deadline)
+            if confirms and deadline < total:
+                if confirms == 1:
+                    # The other side was reset by an earlier announcement and its
+                    # spin is gone; the lone confirmation yields no pair.
+                    one_sided += 1
+                else:
+                    pairs += 1
 
     heralds = [heralds_me, heralds_you] if me == 0 else [heralds_you, heralds_me]
     both_open += _open_cycles(closed_to + 1, total - 1, warmup, total)
@@ -826,7 +847,7 @@ def _run_literal(config: SimConfig) -> SimStats:
             notes.append((c + n, 1 - side, 0, "stale_ignored"))
     notes.sort()
     trace = [(cycle, _SIDE_KEYS[side], event) for cycle, side, _, event in notes[:trace_limit]]
-    true_pairs = _true_pairs(config.seed, config.herald, pairs)
+    true_pairs = _true_pairs(config.seed, model, pairs)
     false_pairs = pairs - true_pairs
     return _sim_stats(
         config, SimMode.LITERAL, heralds, true_pairs, false_pairs, one_sided, both_open, trace

@@ -491,6 +491,20 @@ class TestSubcommands:
         assert main([*command, *flags, *outdir, "--cycles", "1000"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_fig4_rates_its_own_profiles_and_sweep(self, tmp_path, capsys):
+        """fig4 sets its own loss profiles and sweep, which the config checks
+        never rated: this input used to pass them, create the output
+        directory, then fail at 40 km naming no flag."""
+        outdir = tmp_path / "D"
+        argv = ["fig4", "--outdir", str(outdir), "--length-km", "10", "--sweep", "10:10:1",
+                "--delay-us-per-km", "1.6e156"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: flag --delay-us-per-km: g2_hz must be a positive normal float at 100.0 km,"
+            " got 0.0\n"
+        )
+        assert not outdir.exists()
+
     def test_infidelity_past_one_names_the_config_line(self, tmp_path, capsys):
         """The ``fidelity`` check names the line of a config file; other
         commands, which print no infidelity, still run at that length."""

@@ -250,13 +250,14 @@ def _pair_truths(config):
         yield (bits.random_raw() >> 11) * 2**-53 < fraction
 
 
-def _reference_literal(config):
+def _reference_literal(config, log=None):
     """The literal protocol driven through :func:`receiver_step`, one event at a time.
 
     This is the readable form of the transition rule that ``des_run``
     inlines on ints in literal mode; the two must agree field for field.
     Sides are indexed 0 (left) and 1 (right), as in the engines, and every
     herald is passed as true: a pair's truth comes from :func:`_pair_truths`.
+    A ``log`` list receives every ``(cycle, side, event)``, past the trace cap too.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     stream = _ReferenceStream(config)
@@ -268,6 +269,8 @@ def _reference_literal(config):
     trace = []
 
     def note(cycle, side, event):
+        if log is not None:
+            log.append((cycle, side, event))
         if len(trace) < config.trace_limit:
             trace.append((cycle, side, event))
 
@@ -558,14 +561,25 @@ class TestLiteralEngineMatchesReceiverStep:
         seen = set()
         for _ in range(200):
             config = _random_small_config(rng)
-            stats = des_run(config)
-            assert stats == _reference_literal(config), config
+            stats, log = des_run(config), []
+            assert stats == _reference_literal(config, log), config
             events = {event for _, _, event in stats.trace}
+            heralded = {cycle for cycle, _, event in log if event == "herald"}
+            # A confirm on one side only is one-sided; its bin is n cycles before it.
+            confirms = collections.Counter(cycle for cycle, _, event in log if event == "confirm")
+            warmup = config.warmup_cycles
             seen |= _coverage(config, stats) | {
                 ("one-sided confirm", stats.one_sided_confirms > 0),
                 ("stale announcement", "stale_ignored" in events),
                 ("mismatch reset", "mismatch_reset" in events),
                 ("confirm", "confirm" in events),
+                # The engine's warm-up pass ends between these two heralds.
+                ("herald on cycle warmup - 1", warmup - 1 in heralded),
+                ("herald on cycle warmup", warmup in heralded),
+                (
+                    "one-sided confirm in the warm-up",
+                    any(k == 1 and c - config.n < warmup for c, k in confirms.items()),
+                ),
             }
         assert {name for name, hit in seen if hit} == {name for name, _ in seen}
 
