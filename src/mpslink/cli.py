@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Literal, get_args, get_type_hints
 
@@ -27,6 +27,7 @@ from .optics import (
     EncodingVariant,
     LossBudget,
     MidpointVariant,
+    SideLoss,
     db_to_prob,
     mpi_infidelity,
     mpi_loss,
@@ -44,6 +45,9 @@ CSV_SIM_HEADER = ",".join(RateReport.FIELDS + RateReport.SIM_FIELDS)
 
 # Longest accepted distance sweep; a typo in ``step`` must fail, not exhaust memory.
 _MAX_SWEEP_POINTS = 100_000
+# Longest accepted ``markov --n``: the chain holds its 3n + 1 states in memory,
+# about 2 GiB at this cap, and a typo must fail, not exhaust memory.
+_MAX_CHAIN_N = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,8 @@ class RunConfig:
     """Validated union of hardware, timing, sweep and output settings.
 
     The fields are the config keys: each type says how a value is parsed,
-    and an Enum or Literal type lists the accepted choices.
+    and an Enum or Literal type lists the accepted choices.  The loss
+    budget, detector and sweep are built from them once, on first use.
     """
 
     alpha_qd_db: float = 10.0
@@ -78,6 +83,7 @@ class RunConfig:
     format: Literal["csv", "json"] = "csv"
     output: str = "-"
 
+    @cached_property
     def budget(self) -> LossBudget:
         return LossBudget(
             alpha_qd_db=self.alpha_qd_db,
@@ -93,26 +99,36 @@ class RunConfig:
             delay_us_per_km=self.delay_us_per_km,
         )
 
+    @cached_property
     def detector(self) -> DetectorModel:
         return DetectorModel(dark_count_rate_hz=self.dark_count_rate_hz, window_ns=self.window_ns)
 
     def sim_config(self, total_cycles: int, seed: int, length_km: float | None = None) -> SimConfig:
         """DES inputs of this config, at ``length_km`` or the configured length."""
-        return SimConfig.from_hardware(
-            self.budget(),
-            self.geometry(length_km),
+        geom = self.geometry(length_km)
+        side = mps_side_loss(self.budget, geom, self.encoding, self.midpoint)
+        n = TimingParams(self.tau_c_ns, geom.tau_t_us).n
+        return self._sim_config(side, n, total_cycles, seed)
+
+    def _sim_config(self, side: SideLoss, n: int, total_cycles: int, seed: int) -> SimConfig:
+        """DES inputs of this config at a point whose side loss and timeout are known."""
+        return SimConfig.from_side_loss(
+            side,
+            n,
             total_cycles=total_cycles,
-            tau_c_ns=self.tau_c_ns,
             seed=seed,
-            encoding=self.encoding,
-            midpoint=self.midpoint,
-            detector=self.detector(),
+            p_dc=self.detector.p_dc,
             bsm_variant=self.bsm_variant,
             mode=self.mode,
+            tau_c_ns=self.tau_c_ns,
         )
 
+    @cached_property
+    def _distances(self) -> tuple[float, ...]:
+        return tuple(_parse_sweep(self.sweep))
+
     def sweep_distances(self) -> list[float]:
-        return _parse_sweep(self.sweep)
+        return list(self._distances)
 
     def to_config_text(self) -> str:
         """Render back to the key=value format; parsing it reproduces this config."""
@@ -193,9 +209,9 @@ def _validate(
     def transmissions(length_km: float) -> None:
         # 10**(-dB/10) leaves the normal floats past about 3077 dB and is 0
         # past about 3240 dB; the rates and infidelities divide by it.
-        geom, budget = config.geometry(length_km), config.budget()
-        alpha1 = mpi_loss(budget, geom, config.encoding)
-        side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
+        geom = config.geometry(length_km)
+        alpha1 = mpi_loss(config.budget, geom, config.encoding)
+        side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
         if min(db_to_prob(alpha1), side.beta_2) < sys.float_info.min:
             raise ValueError(
                 f"the transmission underflows at {length_km} km: losses of {alpha1:g} dB (MPI)"
@@ -217,7 +233,7 @@ def _validate(
         ("delay_us_per_km", lambda: ChannelGeometry(1.0, config.delay_us_per_km)),
         ("dark_count_rate_hz", lambda: DetectorModel(config.dark_count_rate_hz, 0.0)),
         ("window_ns", lambda: DetectorModel(0.0, config.window_ns)),
-        ("dark_count_rate_hz window_ns", config.detector),
+        ("dark_count_rate_hz window_ns", lambda: config.detector),
         # A simulation's clock rule: its rate divides by the period in seconds.
         ("tau_c_ns", lambda: SimConfig(1.0, 1.0, 1, 10, tau_c_ns=config.tau_c_ns)),
         ("sweep", config.sweep_distances),
@@ -275,15 +291,18 @@ def parse_config(
 
 
 def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateReport:
-    geom = config.geometry(length_km)
-    budget = config.budget()
+    """Analytic (optionally simulated) rates at one distance.
 
-    alpha1 = mpi_loss(budget, geom, config.encoding)
-    side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
-    timing = TimingParams(tau_c_ns=config.tau_c_ns, tau_t_us=geom.tau_t_us)
+    The point's geometry, losses and timeout are built once: the closed
+    forms and the simulation's ``SimConfig`` share them.
+    """
+    geom = config.geometry(length_km)
+    alpha1 = mpi_loss(config.budget, geom, config.encoding)
+    side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
+    n = TimingParams(tau_c_ns=config.tau_c_ns, tau_t_us=geom.tau_t_us).n
 
     g1 = mpi_rate(db_to_prob(alpha1), geom.tau_t_s)
-    g2 = mps_rate(side.beta_2, geom.tau_t_s, timing.n)
+    g2 = mps_rate(side.beta_2, geom.tau_t_s, n)
     g2_star = mps_rate_limit(side.beta_2, geom.tau_t_s)
     for name, rate in ("g1_hz", g1), ("g2_hz", g2), ("g2_star_hz", g2_star):
         if not sys.float_info.min <= rate <= sys.float_info.max:  # 0, inf or subnormal
@@ -295,7 +314,7 @@ def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateRe
     sim_infidelity = None
     if simulate:
         seed = derive_seed(config.seed, "sweep", length_km)
-        sim = des_run(config.sim_config(config.cycles, seed, length_km))
+        sim = des_run(config._sim_config(side, n, config.cycles, seed))
         sim_rate = sim.rate_hz
         sim_infidelity = sim.infidelity_estimate
 
@@ -316,7 +335,11 @@ def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateRe
 def sweep_rates(
     config: RunConfig, distances: list[float], simulate: bool = False
 ) -> list[RateReport]:
-    """Analytic (optionally simulated) rates at each distance, in input order."""
+    """Analytic (optionally simulated) rates at each distance, in input order.
+
+    Each point builds its geometry, losses and timeout once; the config's
+    loss budget and detector are built once for the whole sweep.
+    """
     if not distances:
         raise ValueError("distance list must not be empty")
     if any(d <= 0 for d in distances):
@@ -401,6 +424,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_markov(args: argparse.Namespace) -> int:
+    if args.n > _MAX_CHAIN_N:
+        raise ConfigError(f"flag --n: must be <= {_MAX_CHAIN_N}, got {args.n}")
     chain = full_chain(args.n, args.p)
     pi = stationary(chain)
     closed_form = stationary_open_prob(args.n, args.p)
@@ -424,10 +449,9 @@ def _fidelity_payload(config: RunConfig) -> dict[str, float]:
     transmission; past 1 they mean nothing, and the input is rejected.
     """
     geom = config.geometry()
-    budget = config.budget()
-    side = mps_side_loss(budget, geom, config.encoding, config.midpoint)
-    beta_1 = db_to_prob(mpi_loss(budget, geom, config.encoding))
-    p_dc = config.detector().p_dc
+    side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
+    beta_1 = db_to_prob(mpi_loss(config.budget, geom, config.encoding))
+    p_dc = config.detector.p_dc
     mps = mps_infidelity(p_dc, side.beta_qd, side.beta_ms)
     mpi = mpi_infidelity(p_dc, beta_1)
     if max(mps, mpi) > 1.0:

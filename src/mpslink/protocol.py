@@ -77,6 +77,7 @@ from .optics import (
     EncodingVariant,
     LossBudget,
     MidpointVariant,
+    SideLoss,
     mps_side_loss,
 )
 from .rates import TimingParams
@@ -296,9 +297,13 @@ class SimConfig:
     trace_limit: int = 0
 
     def __post_init__(self) -> None:
+        # A plain float or int skips the numbers ABC checks, which cost more
+        # than the rest of this method; numpy scalars still take them.
         for name in ("beta_qd", "beta_ms", "p_dc", "tau_c_ns"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))  # numpy floats, as the ints below
         for name in ("beta_qd", "beta_ms", "p_dc"):
@@ -307,7 +312,10 @@ class SimConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name, low in (("n", 1), ("total_cycles", 1), ("seed", 0), ("trace_limit", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            integral = type(value) is int or (
+                not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            )
+            if not integral or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy ints are not JSON numbers
         if self.total_cycles > _NEVER:
@@ -319,7 +327,7 @@ class SimConfig:
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
             raise ValueError("p_dc too large: per-attempt dark acceptance exceeds 1")
         if self.total_cycles < 10 * self.n:
-            level, frame = 1, sys._getframe()  # the caller of __init__, from_hardware, replace
+            level, frame = 1, sys._getframe()  # the caller of __init__, from_*, replace
             while frame.f_back and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
                 level, frame = level + 1, frame.f_back
             warnings.warn(
@@ -344,12 +352,9 @@ class SimConfig:
         trace_limit: int = 0,
     ) -> "SimConfig":
         """Derive the per-cycle probabilities and timeout from hardware parameters."""
-        side = mps_side_loss(budget, geom, encoding, midpoint)
-        timing = TimingParams(tau_c_ns=tau_c_ns, tau_t_us=geom.tau_t_us)
-        return cls(
-            beta_qd=side.beta_qd,
-            beta_ms=side.beta_ms,
-            n=timing.n,
+        return cls.from_side_loss(
+            mps_side_loss(budget, geom, encoding, midpoint),
+            TimingParams(tau_c_ns=tau_c_ns, tau_t_us=geom.tau_t_us).n,
             total_cycles=total_cycles,
             seed=seed,
             p_dc=detector.p_dc if detector is not None else 0.0,
@@ -358,6 +363,16 @@ class SimConfig:
             tau_c_ns=tau_c_ns,
             trace_limit=trace_limit,
         )
+
+    @classmethod
+    def from_side_loss(cls, side: SideLoss, n: int, **settings) -> "SimConfig":
+        """A run of the link whose per-side loss is ``side`` and timeout ``n`` cycles.
+
+        ``settings`` gives the fields past ``n``.  For a caller that has
+        worked out ``side`` and ``n`` already, such as a sweep point;
+        :meth:`from_hardware` works them out.
+        """
+        return cls(beta_qd=side.beta_qd, beta_ms=side.beta_ms, n=n, **settings)
 
     @property
     def herald(self) -> HeraldModel:

@@ -1,16 +1,35 @@
 """Config parsing, CSV/JSON emission and the five subcommands."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from enum import Enum
 from pathlib import Path
+from typing import get_args
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mpslink import BsmVariant, RateReport, SimMode
+from mpslink import (
+    BsmVariant,
+    ChannelGeometry,
+    DetectorModel,
+    EncodingVariant,
+    LossBudget,
+    MidpointVariant,
+    RateReport,
+    SimConfig,
+    SimMode,
+    des_run,
+)
 from mpslink.cli import (
+    _KEY_TYPES,
     CSV_HEADER,
     CSV_SIM_HEADER,
     ConfigError,
@@ -20,6 +39,7 @@ from mpslink.cli import (
     parse_config,
     sweep_rates,
 )
+from mpslink.rng import derive_seed
 
 # Accepted values of each choice key, in the order error messages list them.
 CHOICES = {
@@ -297,6 +317,46 @@ class TestSweepRates:
         with pytest.raises(ValueError):
             sweep_rates(config, [-5.0])
 
+    @pytest.mark.parametrize("mode", [mode.value for mode in SimMode])
+    def test_each_point_simulates_the_config_at_its_distance(self, monkeypatch, mode):
+        """A sweep point builds its ``SimConfig`` from the losses and timeout
+        it rated, not through ``RunConfig.sim_config``; both must give the
+        config that ``SimConfig.from_hardware`` gives.  Every field the
+        hardware keys map to is off its default here."""
+        config = parse_config(
+            "encoding=time_bin_converted\nmidpoint=two_single_photon_sources\n"
+            "bsm_variant=singlet_only\ndark_count_rate_hz=2000\ntau_c_ns=250\n"
+            f"sweep=20:40:10\ncycles=20000\nseed=9\nmode={mode}\n"
+        )
+        recorded = []
+
+        def record(sim_config):
+            recorded.append(sim_config)
+            return des_run(sim_config)
+
+        monkeypatch.setattr("mpslink.cli.des_run", record)
+        reports = sweep_rates(config, config.sweep_distances(), simulate=True)
+        distances = config.sweep_distances()
+        assert [report.distance_km for report in reports] == distances == [20.0, 30.0, 40.0]
+        expected = [
+            config.sim_config(config.cycles, derive_seed(config.seed, "sweep", d), d)
+            for d in distances
+        ]
+        assert recorded == expected
+        for d, sim_config in zip(distances, expected):
+            assert sim_config == SimConfig.from_hardware(
+                LossBudget(10.0, 5.0),
+                ChannelGeometry(d),
+                total_cycles=20000,
+                tau_c_ns=250.0,
+                seed=derive_seed(9, "sweep", d),
+                encoding=EncodingVariant.TIME_BIN_CONVERTED,
+                midpoint=MidpointVariant.TWO_SINGLE_PHOTON_SOURCES,
+                detector=DetectorModel(2000.0, 10.0),
+                bsm_variant=BsmVariant.SINGLET_ONLY,
+                mode=SimMode(mode),
+            )
+
 
 class TestSubcommands:
     def test_markov_prints_closed_form_match(self, capsys):
@@ -305,6 +365,18 @@ class TestSubcommands:
         assert payload["pi00_numeric"] == pytest.approx(0.4, abs=1e-12)
         assert payload["pi00_closed_form"] == pytest.approx(0.4, abs=1e-15)
         assert payload["abs_difference"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [10_000_001, 100_000_000])
+    def test_markov_past_the_chain_cap_names_flag(self, monkeypatch, capsys, n):
+        """``--n 100000000`` used to build its chain until the process was
+        killed for memory; now it is refused before any chain is built."""
+
+        def no_chain(*args):
+            raise AssertionError("full_chain called")
+
+        monkeypatch.setattr("mpslink.cli.full_chain", no_chain)
+        assert main(["markov", "--n", str(n), "--p", "0.5"]) == 2
+        assert capsys.readouterr().err == f"error: flag --n: must be <= 10000000, got {n}\n"
 
     def test_markov_at_a_million_cycle_timeout(self, capsys):
         """n = 10^6 (long link, fast clock): 3,000,001 states solved in-process."""
@@ -334,6 +406,25 @@ class TestSubcommands:
         )
         # 'scipy' is only the blocking entry the script set itself
         assert done.stdout == "['scipy'] [0, 0]\n"
+
+    def test_import_loads_no_numpy_random(self):
+        """numpy >= 2 loads ``numpy.random`` on first use.  A module-level
+        use in the package (a seeding class, say) would load it on
+        ``import mpslink`` and add about 5 ms to every start-up."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "alone = 'numpy.random' in sys.modules\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import mpslink, mpslink.cli\n"
+            "print(alone, 'numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        alone, with_package = done.stdout.split()
+        assert with_package == alone
 
     def test_simulate_is_byte_deterministic(self, capsys):
         argv = ["simulate", "--seed", "1", "--cycles", "50000", "--length-km", "10"]
@@ -585,3 +676,81 @@ class TestSubcommands:
             main(["frobnicate"])
         assert excinfo.value.code != 0
         assert "usage" in capsys.readouterr().err
+
+
+# Float inputs: zero, subnormals, the ends of the normal floats, huge,
+# non-finite and negative values, and a few ordinary ones.  Drawn from a list,
+# not from st.floats, so that an edge comes up often enough for a fixed budget
+# of examples to find a rule that is missing.
+_FLOATS = st.sampled_from((
+    0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-9, 0.3, 1.0, 7.5, 100.0, 2500.0,
+    1e300, sys.float_info.max, math.inf, -math.inf, math.nan, -1.0,
+))
+# Literal runs take one step per herald, so every run's cycles stay small.
+_CYCLES = st.integers(-1, 20_000)
+# start:stop:step with at most four points, so a simulated sweep stays short;
+# the malformed ones fail to parse.
+_SWEEPS = st.one_of(
+    st.builds(
+        lambda start, points, step: f"{start!r}:{start + points * step!r}:{step!r}",
+        _FLOATS,
+        st.integers(0, 3),
+        st.one_of(st.sampled_from((0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)),
+                  st.floats(1e-3, 1e3)),
+    ),
+    st.sampled_from(("", "10", "10:20", "a:b:c", "10:20:5:1", "20:10:1")),
+)
+
+
+def _key_values(key: str, kind) -> st.SearchStrategy[str]:
+    """Raw flag values for a config key, drawn from its declared type."""
+    if kind is float:
+        return _FLOATS.map(repr)
+    if kind is int:
+        return (_CYCLES if key == "cycles" else st.integers(-1, 2**64 - 1)).map(str)
+    if key == "sweep":
+        return _SWEEPS
+    choices = [m.value for m in kind] if isinstance(kind, type) and issubclass(kind, Enum) else []
+    return st.sampled_from([*choices, *get_args(kind), "bogus"])
+
+
+# Up to three keys set, so that most inputs are valid and run; ``output``, a
+# path, is left out (runs here write to stdout), and ``cycles`` is always set.
+_SETTINGS = st.lists(
+    st.one_of([
+        st.tuples(st.just(key), _key_values(key, kind))
+        for key, kind in _KEY_TYPES.items()
+        if key not in ("output", "cycles")
+    ]),
+    max_size=3,
+    unique_by=lambda item: item[0],
+).map(dict)
+_COMMANDS = (
+    ["rates"], ["rates", "--simulate"], ["simulate"], ["fidelity"],
+    ["fidelity", "--mc-cycles=20000"],
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_SETTINGS, _key_values("cycles", int))
+def test_every_input_runs_or_names_a_flag(settings_, cycles):
+    """Any value of any config key, in ``rates`` (analytic and simulated),
+    ``simulate`` and ``fidelity`` in either mode, exits 0, or exits 2 with
+    a message that names a flag the input set.  No traceback, and no
+    warning but the short-run one."""
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings_.items()]
+    flags.append(f"--cycles={cycles}")
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.filterwarnings("ignore", "total_cycles below 10", UserWarning)
+                code = main([*command, *flags])
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+            continue
+        assert code == 2
+        named = re.fullmatch(r"error: flag (--[a-z-]+): .+\n", err.getvalue())
+        assert named, err.getvalue()
+        assert named[1] in {flag.split("=")[0] for flag in [*command, *flags]}
