@@ -30,7 +30,6 @@ from .optics import (
     LossBudget,
     MidpointVariant,
     SideLoss,
-    bsm_loss_db,
     db_to_prob,
     false_coincidence_prob,
     mpi_infidelity,
@@ -82,7 +81,6 @@ __all__ = [
     "SimMode",
     "SimStats",
     "TimingParams",
-    "bsm_loss_db",
     "collapse",
     "collapsed_chain",
     "db_to_prob",

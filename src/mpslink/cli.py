@@ -426,6 +426,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_markov(args: argparse.Namespace) -> int:
     if args.n > _MAX_CHAIN_N:
         raise ConfigError(f"flag --n: must be <= {_MAX_CHAIN_N}, got {args.n}")
+    if args.n < 1:
+        raise ConfigError(f"flag --n: must be >= 1, got {args.n}")
+    if not 0.0 <= args.p <= 1.0:  # also refuses nan
+        raise ConfigError(f"flag --p: must lie in [0, 1], got {args.p}")
     chain = full_chain(args.n, args.p)
     pi = stationary(chain)
     closed_form = stationary_open_prob(args.n, args.p)

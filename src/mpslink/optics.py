@@ -174,17 +174,6 @@ class DetectorModel:
         return self.dark_count_rate_hz * self.window_ns * 1e-9
 
 
-def bsm_loss_db(variant: BsmVariant, detector_efficiency: float = 1.0) -> float:
-    """Total BSM loss from the intrinsic success fraction and two detectors.
-
-    Alternative construction path for ``alpha_bsm_db`` when the apparatus is
-    specified by detector quantum efficiency rather than a single dB figure.
-    """
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValueError(f"detector_efficiency must lie in (0, 1], got {detector_efficiency!r}")
-    return prob_to_db(variant.success_fraction * detector_efficiency**2)
-
-
 def mpi_loss(
     budget: LossBudget,
     geom: ChannelGeometry,

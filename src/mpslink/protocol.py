@@ -13,7 +13,7 @@ Two information models are implemented:
   that is holding a fresh herald;
 * ``OMNISCIENT`` - both sides reset together at the earlier deadline as if
   each instantly knew about the other's heralds, reproducing the Markov
-  chain of :mod:`mpslink.markov` exactly.
+  chain of :mod:`mpslink.markov` exactly; it only counts, and keeps no trace.
 
 Attempts are independent per cycle, so a wait for a herald is geometric
 and is drawn in one step, from a keyed Philox stream.
@@ -40,7 +40,8 @@ are independent.  An epoch needs only its first herald's wait, of law
 ``Geom(1 - q**2)`` with ``q = 1 - p``, and its outcome, independent of the
 wait: a tie, or one side first with the other heralding within ``n`` cycles
 or not.  So a chunk of epochs is drawn whole, as its summed waits and its
-outcome counts; epochs placed one at a time are drawn given those sums.
+outcome counts, from one keyed stream; a chunk that passes the run's end is
+split given its summed waits, down to the lone epoch that ends the run.
 
 :func:`receiver_step` states one receiver's transition rule on readable
 dataclasses (:class:`Open`, :class:`Closed`, :class:`ClassicalMessage`).
@@ -283,7 +284,11 @@ class SimMode(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Inputs of one simulation run; equal configs give bit-identical stats."""
+    """Inputs of one simulation run; equal configs give bit-identical stats.
+
+    ``trace_limit`` caps a literal run's event trace.  An omniscient run
+    counts only, so it takes ``trace_limit = 0``.
+    """
 
     beta_qd: float
     beta_ms: float
@@ -318,6 +323,8 @@ class SimConfig:
             if not integral or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy ints are not JSON numbers
+        if self.trace_limit and self.mode is SimMode.OMNISCIENT:  # it counts only
+            raise ValueError(f"trace_limit must be 0 in omniscient mode, got {self.trace_limit!r}")
         if self.total_cycles > _NEVER:
             raise ValueError(f"total_cycles must be <= 2**62, got {self.total_cycles!r}")
         if not math.isfinite(self.tau_c_ns) or self.tau_c_ns <= 0:
@@ -392,7 +399,8 @@ class SimStats:
     both-open cycles behind ``open_fraction`` exclude the warm-up: they count
     heralds and pair bins from cycle ``warmup_cycles`` on, and open cycles in
     the ``measured_cycles`` after it.  ``one_sided_confirms`` counts from
-    cycle 0 in literal runs and is 0 in omniscient ones.
+    cycle 0 in literal runs and is 0 in omniscient ones.  ``trace`` holds a
+    literal run's first ``trace_limit`` events; an omniscient run keeps none.
     """
 
     mode: str
@@ -440,9 +448,9 @@ def write_trace_csv(stats: SimStats, destination) -> None:
 _SIDE_KEYS = tuple(side.value for side in Side)
 
 # SeedSequence keys: a side's gaps are (seed, side, _GAP), the literal pair
-# truths (seed, _BOTH, _TRUTH), an omniscient run's epochs (seed, _BOTH,
-# _GAP) and the epochs a traced omniscient run expands (seed, _BOTH, _ORDER).
-_GAP, _TRUTH, _ORDER = 0, 1, 2
+# truths (seed, _BOTH, _TRUTH) and an omniscient run's epochs, its one
+# stream, (seed, _BOTH, _GAP).  Only literal runs keep a trace.
+_GAP, _TRUTH = 0, 1
 _BOTH = 2
 
 
@@ -566,20 +574,19 @@ _Z = 4.0
 
 
 class _EpochDraws:
-    """An omniscient run's epoch draws, from one Philox stream keyed ``(seed, _BOTH, _GAP)``.
+    """An omniscient run's epoch draws, from its one Philox stream, keyed ``(seed, _BOTH, _GAP)``.
 
     The waits ``M ~ Geom(r)``, ``r = 1 - q**2``, of ``k`` epochs sum to
     ``k + NB(k, r)``; their outcome counts, independent of the waits, are
     ``multinomial(k, law)``.  Given its sum, the waits are a uniform
     composition of it into ``k`` parts, so the first ``h`` sum to ``h`` plus a
-    beta-binomial of the excess with shapes ``(h, k - h)``; given the counts,
-    the outcomes are a uniform arrangement of them.  NEP 19 freezes numpy's
-    raw Philox words, not ``Generator``'s distributions, so omniscient runs
-    depend on numpy's algorithms.
+    beta-binomial of the excess with shapes ``(h, k - h)``.  A counted
+    chunk's epochs are never placed.  NEP 19 freezes raw Philox words, not
+    ``Generator``'s distributions, so omniscient runs depend on numpy's.
     """
 
     def __init__(self, config: SimConfig, model: HeraldModel) -> None:
-        p, self.n, self.seed = model.p_any, config.n, config.seed
+        p, self.n = model.p_any, config.n
         self.log_q = math.log1p(-p) if p < 1.0 else -math.inf  # log q = log(1 - p)
         self.r = -math.expm1(2.0 * self.log_q)  # some side heralds in a cycle
         a, tf2 = p / (2.0 - p), model.pair_true_fraction
@@ -589,10 +596,8 @@ class _EpochDraws:
         self.law = np.array(law)
         # A lone epoch's outcome ends; the last possible outcome takes any rounding.
         self.ends = list(itertools.accumulate(law))[: max(i for i, w in enumerate(law) if w > 0)]
-        self.gen = self.stream(_GAP)
-
-    def stream(self, key: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence([self.seed, _BOTH, key])))
+        seeds = np.random.SeedSequence([config.seed, _BOTH, _GAP])
+        self.gen = np.random.Generator(np.random.Philox(seeds))
 
     def span(self, k: int) -> int:
         """The summed first-herald waits of the next ``k`` epochs."""
@@ -604,31 +609,19 @@ class _EpochDraws:
         """How many of the next ``k`` epochs have each outcome."""
         return self.gen.multinomial(k, self.law).tolist()
 
-    def split(self, k: int, span: int, head: int, gen: np.random.Generator) -> int:
+    def split(self, k: int, span: int, head: int) -> int:
         """The summed waits of the first ``head`` of ``k`` epochs whose waits sum to ``span``."""
-        return head + int(gen.binomial(span - k, gen.beta(head, k - head)))
-
-    def offset(self, outcome: int, gen: np.random.Generator) -> int:
-        """The later herald's offset: 0 on a tie, ``n + 1`` if not within ``n``, else
-        the geometric law on ``[1, n]`` inverted at one uniform."""
-        if outcome in (2, 3):
-            place = gen.random() * math.expm1(self.n * self.log_q)
-            return min(self.n, max(1, math.ceil(math.log1p(place) / self.log_q)))
-        return 0 if outcome < 2 else self.n + 1
+        return head + int(self.gen.binomial(span - k, self.gen.beta(head, k - head)))
 
     def single(self) -> tuple[int, int]:
-        """The next lone epoch's outcome and offset, from one uniform (two within ``n``)."""
+        """The next lone epoch's outcome, from one uniform, and its later herald's
+        offset: 0 on a tie, ``n + 1`` if not within ``n``, else the geometric law
+        on ``[1, n]`` inverted at a second uniform."""
         outcome = bisect.bisect_right(self.ends, self.gen.random())
-        return outcome, self.offset(outcome, self.gen)
-
-    def expand(self, k: int, span: int, counts: list[int], gen) -> Iterator[tuple[int, int, int]]:
-        """Each ``(wait, outcome, offset)`` of ``k`` epochs with these sums, in order."""
-        for left in range(k, 0, -1):
-            wait = self.split(left, span, 1, gen) if left > 1 else span
-            pick = gen.integers(left) if left > 1 else 0
-            outcome = bisect.bisect_right(list(itertools.accumulate(counts)), pick)
-            yield wait, outcome, self.offset(outcome, gen)
-            span, counts[outcome] = span - wait, counts[outcome] - 1
+        if outcome in (2, 3):
+            place = self.gen.random() * math.expm1(self.n * self.log_q)
+            return outcome, min(self.n, max(1, math.ceil(math.log1p(place) / self.log_q)))
+        return outcome, 0 if outcome < 2 else self.n + 1
 
 
 def _run_omniscient(config: SimConfig) -> SimStats:
@@ -648,22 +641,14 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     waits end it inside the run, its outcome counts give its heralds and
     pairs.  If not, it is halved, the head's waits drawn given the chunk's,
     until the epoch that ends the run is alone; no chunk is drawn again.
-    ``epoch`` plays lone epochs, one uniform each, and a traced run's first
-    epochs of a counted chunk, drawn given its sums from a stream of their own.
+    ``epoch`` plays lone epochs, one uniform each.  The run keeps no trace.
     """
     n, total, warmup = config.n, config.total_cycles, config.warmup_cycles
     model = config.herald
     if model.p_any <= 0.0:  # no side ever heralds
         return _sim_stats(config, SimMode.OMNISCIENT, [0, 0], 0, 0, 0, total - warmup, [])
-    trace_limit = config.trace_limit
     heralds, ties, both_open = [0, 0], [0, 0], 0  # ties: the true and the false pairs
-    trace: list[tuple[int, str, str]] = []
     draws = _EpochDraws(config, model)
-    order = draws.stream(_ORDER) if trace_limit else None
-
-    def note(cycle: int, side: str, event: str) -> None:
-        if len(trace) < trace_limit:
-            trace.append((cycle, side, event))
 
     def epoch(t0: int, gap: int, outcome: int, offset: int) -> int:
         """Play one epoch from ``t0`` on plain ints; return the next epoch's start."""
@@ -672,22 +657,13 @@ def _run_omniscient(config: SimConfig) -> SimStats:
         both_open += _open_cycles(t0, bin, warmup, total)
         if bin >= total:
             return total
-        first, late = _FIRST[outcome], bin + offset
+        first, late, end = _FIRST[outcome], bin + offset, bin + n
         if bin >= warmup:
             heralds[first] += 1
-        note(bin, _SIDE_KEYS[first], "herald")
-        end = bin + n
-        if late <= end and late < total:  # the other side heralded into the closed window
-            if late >= warmup:
-                heralds[1 - first] += 1
-            note(late, _SIDE_KEYS[1 - first], "herald")
-        if late == bin:
-            if end < total:
-                if bin >= warmup:
-                    ties[outcome] += 1
-                note(end, "both", "confirm")
-        else:
-            note(end if end < total else total - 1, _SIDE_KEYS[first], "timeout")
+        if warmup <= late <= end and late < total:  # the other side heralded into the closed window
+            heralds[1 - first] += 1
+        if late == bin and warmup <= bin and end < total:  # a tie confirms at the deadline
+            ties[outcome] += 1
         return end + 1
 
     def chunk(t0: int) -> int:
@@ -709,16 +685,10 @@ def _run_omniscient(config: SimConfig) -> SimStats:
         end = t0 + span + k * n
         if end > total:
             head = k // 2
-            part = draws.split(k, span, head, draws.gen)
+            part = draws.split(k, span, head)
             t0 = settle(t0, head, part)
             return settle(t0, k - head, span - part) if t0 < total else t0
         counts = draws.counts(k)
-        if len(trace) < trace_limit:
-            for gap, outcome, offset in draws.expand(k, span, counts.copy(), order):
-                t0 = epoch(t0, gap, outcome, offset)
-                k, span, counts[outcome] = k - 1, span - gap, counts[outcome] - 1
-                if len(trace) >= trace_limit:
-                    break
         heralds[0] += k - counts[5]
         heralds[1] += k - counts[4]
         ties[0] += counts[0]
@@ -730,7 +700,7 @@ def _run_omniscient(config: SimConfig) -> SimStats:
     while t0 < total:
         k = chunk(t0)
         t0 = settle(t0, k, draws.span(k))
-    return _sim_stats(config, SimMode.OMNISCIENT, heralds, *ties, 0, both_open, trace)
+    return _sim_stats(config, SimMode.OMNISCIENT, heralds, *ties, 0, both_open, [])
 
 
 def _run_literal(config: SimConfig) -> SimStats:

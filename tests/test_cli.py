@@ -378,6 +378,24 @@ class TestSubcommands:
         assert main(["markov", "--n", str(n), "--p", "0.5"]) == 2
         assert capsys.readouterr().err == f"error: flag --n: must be <= 10000000, got {n}\n"
 
+    @pytest.mark.parametrize(
+        "n, p, flag",
+        [("0", "0.5", "--n"), ("-3", "0.5", "--n"), ("5", "2", "--p"), ("5", "-0.5", "--p"),
+         ("5", "nan", "--p"), ("5", "inf", "--p")],
+    )
+    def test_markov_out_of_range_names_flag(self, monkeypatch, capsys, n, p, flag):
+        """``--n 0`` and ``--p 2`` used to print the chain's bare range message,
+        which named no flag; now they are refused before any chain is built."""
+
+        def no_chain(*args):
+            raise AssertionError("full_chain called")
+
+        monkeypatch.setattr("mpslink.cli.full_chain", no_chain)
+        assert main(["markov", "--n", n, "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: flag {flag}: must ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_markov_at_a_million_cycle_timeout(self, capsys):
         """n = 10^6 (long link, fast clock): 3,000,001 states solved in-process."""
         assert main(["markov", "--n", "1000000", "--p", "0.01"]) == 0

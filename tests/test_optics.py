@@ -13,7 +13,6 @@ from mpslink import (
     EncodingVariant,
     LossBudget,
     MidpointVariant,
-    bsm_loss_db,
     db_to_prob,
     false_coincidence_prob,
     mpi_infidelity,
@@ -88,15 +87,6 @@ class TestLossBudgetInvariants:
     def test_bsm_variant_fractions(self):
         assert BsmVariant.SINGLET_ONLY.success_fraction == 0.25
         assert BsmVariant.SINGLET_PLUS_TRIPLET.success_fraction == 0.5
-
-    def test_bsm_loss_from_detector_efficiency(self):
-        # success fraction 0.5 with perfect detectors costs exactly one halving
-        assert bsm_loss_db(BsmVariant.SINGLET_PLUS_TRIPLET, 1.0) == pytest.approx(
-            DB_HALF, rel=1e-12
-        )
-        assert bsm_loss_db(BsmVariant.SINGLET_ONLY, 0.5) == pytest.approx(
-            prob_to_db(0.25 * 0.25), rel=1e-12
-        )
 
 
 class TestMpiLoss:
