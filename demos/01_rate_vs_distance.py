@@ -4,34 +4,21 @@ Sweeps 10-100 km at two hardware loss profiles and tabulates the baseline
 rate (one central measurement, one attempt per round trip) against the
 midpoint-source rate and its fast-clock ceiling.  The midpoint-source
 curve falls at half the dB/km slope because only one half of the channel
-loss is left unheralded.
+loss is left unheralded.  The rows are the command line's sweep points
+(``mpslink rates``), here at every 10 km.
 """
 
-from mpslink import (
-    ChannelGeometry,
-    LossBudget,
-    TimingParams,
-    db_to_prob,
-    mpi_loss,
-    mpi_rate,
-    mps_rate,
-    mps_rate_limit,
-    mps_side_loss,
-)
+from mpslink.cli import parse_config, sweep_rates
 
 PROFILES = {
-    "moderate loss (10 dB/dot, 5 dB/BSM)": LossBudget(10.0, 5.0),
-    "high loss (20 dB/dot, 10 dB/BSM)": LossBudget(20.0, 10.0),
+    "moderate loss (10 dB/dot, 5 dB/BSM)": "alpha_qd_db=10\nalpha_bsm_db=5",
+    "high loss (20 dB/dot, 10 dB/BSM)": "alpha_qd_db=20\nalpha_bsm_db=10",
 }
 
-for name, budget in PROFILES.items():
-    print(f"\n{name}, 0.2 dB/km fiber, 500 ns clock")
+for name, losses in PROFILES.items():
+    config = parse_config(f"{losses}\nsweep=10:100:10")
+    print(f"\n{name}, {config.fiber_db_per_km} dB/km fiber, {config.tau_c_ns:g} ns clock")
     print(f"{'km':>5} {'baseline /s':>12} {'midpoint-source /s':>19} {'ceiling /s':>11} {'gain':>7}")
-    for km in range(10, 101, 10):
-        geom = ChannelGeometry(length_km=float(km))
-        baseline = mpi_rate(db_to_prob(mpi_loss(budget, geom)), geom.tau_t_s)
-        side = mps_side_loss(budget, geom)
-        n = TimingParams(tau_c_ns=500.0, tau_t_us=geom.tau_t_us).n
-        rate = mps_rate(side.beta_2, geom.tau_t_s, n)
-        ceiling = mps_rate_limit(side.beta_2, geom.tau_t_s)
-        print(f"{km:>5} {baseline:>12.4g} {rate:>19.4g} {ceiling:>11.4g} {ceiling / baseline:>6.0f}x")
+    for row in sweep_rates(config, config.sweep_distances()):
+        gain = row.g2_star_hz / row.g1_hz
+        print(f"{row.distance_km:>5g} {row.g1_hz:>12.4g} {row.g2_hz:>19.4g} {row.g2_star_hz:>11.4g} {gain:>6.0f}x")

@@ -12,12 +12,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Literal, get_args, get_type_hints
+from typing import Callable, Literal, NamedTuple, get_args, get_type_hints
 
 from .markov import full_chain, stationary, stationary_as_dict, stationary_open_prob
 from .optics import (
@@ -48,10 +49,21 @@ _MAX_SWEEP_POINTS = 100_000
 # Longest accepted ``markov --n``: the chain holds its 3n + 1 states in memory,
 # about 2 GiB at this cap, and a typo must fail, not exhaust memory.
 _MAX_CHAIN_N = 10_000_000
+# A flag value that argparse would read as an option: -1e-3, -inf, -10:20:5.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
     """Invalid configuration input; the message names the key and line."""
+
+
+class LinkPoint(NamedTuple):
+    """A link at one length: its geometry, timeout cycles, MPI loss and MPS side loss."""
+
+    geom: ChannelGeometry
+    n: int
+    alpha1_db: float
+    side: SideLoss
 
 
 @dataclass(frozen=True)
@@ -93,28 +105,30 @@ class RunConfig:
             bsm_split_fraction=self.bsm_split_fraction,
         )
 
-    def geometry(self, length_km: float | None = None) -> ChannelGeometry:
-        return ChannelGeometry(
-            length_km=self.length_km if length_km is None else length_km,
-            delay_us_per_km=self.delay_us_per_km,
-        )
-
     @cached_property
     def detector(self) -> DetectorModel:
         return DetectorModel(dark_count_rate_hz=self.dark_count_rate_hz, window_ns=self.window_ns)
 
-    def sim_config(self, total_cycles: int, seed: int, length_km: float | None = None) -> SimConfig:
-        """DES inputs of this config, at ``length_km`` or the configured length."""
-        geom = self.geometry(length_km)
-        side = mps_side_loss(self.budget, geom, self.encoding, self.midpoint)
-        n = TimingParams(self.tau_c_ns, geom.tau_t_us).n
-        return self._sim_config(side, n, total_cycles, seed)
+    def point(self, length_km: float | None = None) -> LinkPoint:
+        """The link at ``length_km``, or at the configured length: the one place
+        where a length becomes losses and a timeout."""
+        geom = ChannelGeometry(
+            length_km=self.length_km if length_km is None else length_km,
+            delay_us_per_km=self.delay_us_per_km,
+        )
+        return LinkPoint(
+            geom,
+            TimingParams(self.tau_c_ns, geom.tau_t_us).n,
+            mpi_loss(self.budget, geom, self.encoding),
+            mps_side_loss(self.budget, geom, self.encoding, self.midpoint),
+        )
 
-    def _sim_config(self, side: SideLoss, n: int, total_cycles: int, seed: int) -> SimConfig:
-        """DES inputs of this config at a point whose side loss and timeout are known."""
-        return SimConfig.from_side_loss(
-            side,
-            n,
+    def sim_config(self, total_cycles: int, seed: int, point: LinkPoint) -> SimConfig:
+        """DES inputs of this config at ``point``."""
+        return SimConfig(
+            beta_qd=point.side.beta_qd,
+            beta_ms=point.side.beta_ms,
+            n=point.n,
             total_cycles=total_cycles,
             seed=seed,
             p_dc=self.detector.p_dc,
@@ -203,15 +217,10 @@ def _validate(
 ) -> RunConfig:
     config = RunConfig(**settings)
 
-    def timeout_cycles(length_km: float) -> int:
-        return TimingParams(config.tau_c_ns, config.geometry(length_km).tau_t_us).n
-
     def transmissions(length_km: float) -> None:
         # 10**(-dB/10) leaves the normal floats past about 3077 dB and is 0
         # past about 3240 dB; the rates and infidelities divide by it.
-        geom = config.geometry(length_km)
-        alpha1 = mpi_loss(config.budget, geom, config.encoding)
-        side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
+        _, _, alpha1, side = config.point(length_km)
         if min(db_to_prob(alpha1), side.beta_2) < sys.float_info.min:
             raise ValueError(
                 f"the transmission underflows at {length_km} km: losses of {alpha1:g} dB (MPI)"
@@ -237,8 +246,9 @@ def _validate(
         # A simulation's clock rule: its rate divides by the period in seconds.
         ("tau_c_ns", lambda: SimConfig(1.0, 1.0, 1, 10, tau_c_ns=config.tau_c_ns)),
         ("sweep", config.sweep_distances),
-        ("delay_us_per_km tau_c_ns length_km", lambda: timeout_cycles(config.length_km)),
-        ("delay_us_per_km tau_c_ns sweep", lambda: timeout_cycles(max(config.sweep_distances()))),
+        # A point's length times delay, timeout and dB sums must be finite.
+        (f"{_RATE_KEYS} length_km", lambda: config.point(config.length_km)),
+        (f"{_RATE_KEYS} sweep", lambda: config.point(max(config.sweep_distances()))),
         (f"{_LOSS_KEYS} length_km", lambda: transmissions(config.length_km)),
         (f"{_LOSS_KEYS} sweep", lambda: transmissions(max(config.sweep_distances()))),
         (f"{_RATE_KEYS} length_km", lambda: _rate_ends(config, [config.length_km])),
@@ -291,16 +301,9 @@ def parse_config(
 
 
 def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateReport:
-    """Analytic (optionally simulated) rates at one distance.
-
-    The point's geometry, losses and timeout are built once: the closed
-    forms and the simulation's ``SimConfig`` share them.
-    """
-    geom = config.geometry(length_km)
-    alpha1 = mpi_loss(config.budget, geom, config.encoding)
-    side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
-    n = TimingParams(tau_c_ns=config.tau_c_ns, tau_t_us=geom.tau_t_us).n
-
+    """Analytic (optionally simulated) rates at one distance, from one derived point."""
+    point = config.point(length_km)
+    geom, n, alpha1, side = point
     g1 = mpi_rate(db_to_prob(alpha1), geom.tau_t_s)
     g2 = mps_rate(side.beta_2, geom.tau_t_s, n)
     g2_star = mps_rate_limit(side.beta_2, geom.tau_t_s)
@@ -314,7 +317,7 @@ def _point_report(config: RunConfig, length_km: float, simulate: bool) -> RateRe
     sim_infidelity = None
     if simulate:
         seed = derive_seed(config.seed, "sweep", length_km)
-        sim = des_run(config._sim_config(side, n, config.cycles, seed))
+        sim = des_run(config.sim_config(config.cycles, seed, point))
         sim_rate = sim.rate_hz
         sim_infidelity = sim.infidelity_estimate
 
@@ -418,7 +421,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    stats = des_run(config.sim_config(config.cycles, config.seed))
+    stats = des_run(config.sim_config(config.cycles, config.seed, config.point()))
     sys.stdout.write(stats.to_json() + "\n")
     return 0
 
@@ -452,9 +455,8 @@ def _fidelity_payload(config: RunConfig) -> dict[str, float]:
     Both infidelities are first order in the dark-count probability over a
     transmission; past 1 they mean nothing, and the input is rejected.
     """
-    geom = config.geometry()
-    side = mps_side_loss(config.budget, geom, config.encoding, config.midpoint)
-    beta_1 = db_to_prob(mpi_loss(config.budget, geom, config.encoding))
+    _, _, alpha1, side = config.point()
+    beta_1 = db_to_prob(alpha1)
     p_dc = config.detector.p_dc
     mps = mps_infidelity(p_dc, side.beta_qd, side.beta_ms)
     mpi = mpi_infidelity(p_dc, beta_1)
@@ -482,7 +484,7 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     config = _load_config(args, ((keys, _fidelity_payload),))
     payload = _fidelity_payload(config)
     if args.mc_cycles:
-        stats = des_run(config.sim_config(args.mc_cycles, config.seed))
+        stats = des_run(config.sim_config(args.mc_cycles, config.seed, config.point()))
         payload["mc_infidelity"] = stats.infidelity_estimate
         payload["mc_pairs"] = stats.true_coincidences + stats.false_coincidences
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -567,9 +569,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``, so that the value reaches its range check."""
+    bound: list[str] = []
+    for arg in argv:
+        flag = bound[-1] if bound else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_VALUE.match(arg):
+            bound[-1] += f"={arg}"
+        else:
+            bound.append(arg)
+    return bound
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -71,18 +71,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .optics import (
-    BsmVariant,
-    ChannelGeometry,
-    DetectorModel,
-    EncodingVariant,
-    LossBudget,
-    MidpointVariant,
-    SideLoss,
-    mps_side_loss,
-)
-from .rates import TimingParams
-# Unused here; benchmarks/tracing.py patches protocol.u01 by name, so it must exist.
+from .optics import BsmVariant
+# Unused here; benchmarks/tracing.py patches protocol.mps_side_loss and
+# protocol.u01 by name, so they must exist.
+from .optics import mps_side_loss  # noqa: F401
 from .rng import u01  # noqa: F401
 
 # Longest accepted run (SimConfig caps total_cycles here); no run reaches this cycle.
@@ -334,52 +326,13 @@ class SimConfig:
         if 2.0 * self.bsm_variant.dark_count_factor * self.p_dc > 1.0:
             raise ValueError("p_dc too large: per-attempt dark acceptance exceeds 1")
         if self.total_cycles < 10 * self.n:
-            level, frame = 1, sys._getframe()  # the caller of __init__, from_*, replace
+            level, frame = 1, sys._getframe()  # the caller of __init__ or replace
             while frame.f_back and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
                 level, frame = level + 1, frame.f_back
             warnings.warn(
                 "total_cycles below 10*n; equilibrium statistics will be unreliable",
                 stacklevel=level,
             )
-
-    @classmethod
-    def from_hardware(
-        cls,
-        budget: LossBudget,
-        geom: ChannelGeometry,
-        *,
-        total_cycles: int,
-        tau_c_ns: float = 500.0,
-        seed: int = 0,
-        encoding: EncodingVariant = EncodingVariant.POLARIZATION,
-        midpoint: MidpointVariant = MidpointVariant.ENTANGLED_PAIR_SOURCE,
-        detector: DetectorModel | None = None,
-        bsm_variant: BsmVariant = BsmVariant.SINGLET_PLUS_TRIPLET,
-        mode: SimMode = SimMode.OMNISCIENT,
-        trace_limit: int = 0,
-    ) -> "SimConfig":
-        """Derive the per-cycle probabilities and timeout from hardware parameters."""
-        return cls.from_side_loss(
-            mps_side_loss(budget, geom, encoding, midpoint),
-            TimingParams(tau_c_ns=tau_c_ns, tau_t_us=geom.tau_t_us).n,
-            total_cycles=total_cycles,
-            seed=seed,
-            p_dc=detector.p_dc if detector is not None else 0.0,
-            bsm_variant=bsm_variant,
-            mode=mode,
-            tau_c_ns=tau_c_ns,
-            trace_limit=trace_limit,
-        )
-
-    @classmethod
-    def from_side_loss(cls, side: SideLoss, n: int, **settings) -> "SimConfig":
-        """A run of the link whose per-side loss is ``side`` and timeout ``n`` cycles.
-
-        ``settings`` gives the fields past ``n``.  For a caller that has
-        worked out ``side`` and ``n`` already, such as a sweep point;
-        :meth:`from_hardware` works them out.
-        """
-        return cls(beta_qd=side.beta_qd, beta_ms=side.beta_ms, n=n, **settings)
 
     @property
     def herald(self) -> HeraldModel:

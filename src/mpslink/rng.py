@@ -8,9 +8,8 @@ other draws happened before.  :func:`derive_seed` gives each point of a
 numpy's Philox generator: the literal engine's per-side waits
 (``protocol._herald_blocks``), the omniscient engine's chunks of epochs
 (``protocol._EpochDraws``, a negative-binomial sum of waits and multinomial
-outcome counts per chunk, expanded given those sums where epochs are placed
-one at a time, with a tie's truth in the outcome law) and the literal
-engine's pair truths; no package code calls :func:`u01`.
+outcome counts per chunk, with a tie's truth in the outcome law) and the
+literal engine's pair truths; no package code calls :func:`u01`.
 """
 
 from __future__ import annotations

@@ -331,6 +331,7 @@ def test_criterion_08_variant_penalties_exact():
     )
     checks = (
         alpha1_tb == alpha1_pol + 2.0 * DB_HALF,
+        round(alpha1_tb - alpha1_pol, 4) == 6.0206,  # by value: 20 log10(2) dB
         side_tb.alpha_side_db == side_pol.alpha_side_db + DB_HALF,
         side_sps.beta_2 == 0.5 * side_pol.beta_2,
         side_sps.alpha2_db == 2.0 * (side_pol.alpha_side_db + DB_HALF / 2.0),

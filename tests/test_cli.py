@@ -26,7 +26,9 @@ from mpslink import (
     RateReport,
     SimConfig,
     SimMode,
+    TimingParams,
     des_run,
+    mps_side_loss,
 )
 from mpslink.cli import (
     _KEY_TYPES,
@@ -319,10 +321,9 @@ class TestSweepRates:
 
     @pytest.mark.parametrize("mode", [mode.value for mode in SimMode])
     def test_each_point_simulates_the_config_at_its_distance(self, monkeypatch, mode):
-        """A sweep point builds its ``SimConfig`` from the losses and timeout
-        it rated, not through ``RunConfig.sim_config``; both must give the
-        config that ``SimConfig.from_hardware`` gives.  Every field the
-        hardware keys map to is off its default here."""
+        """A sweep point simulates the point it rated; its ``SimConfig`` is
+        the one built by hand from the hardware.  Every field the hardware
+        keys map to is off its default here."""
         config = parse_config(
             "encoding=time_bin_converted\nmidpoint=two_single_photon_sources\n"
             "bsm_variant=singlet_only\ndark_count_rate_hz=2000\ntau_c_ns=250\n"
@@ -339,23 +340,36 @@ class TestSweepRates:
         distances = config.sweep_distances()
         assert [report.distance_km for report in reports] == distances == [20.0, 30.0, 40.0]
         expected = [
-            config.sim_config(config.cycles, derive_seed(config.seed, "sweep", d), d)
+            config.sim_config(config.cycles, derive_seed(config.seed, "sweep", d), config.point(d))
             for d in distances
         ]
         assert recorded == expected
         for d, sim_config in zip(distances, expected):
-            assert sim_config == SimConfig.from_hardware(
+            geom = ChannelGeometry(d)
+            side = mps_side_loss(
                 LossBudget(10.0, 5.0),
-                ChannelGeometry(d),
+                geom,
+                EncodingVariant.TIME_BIN_CONVERTED,
+                MidpointVariant.TWO_SINGLE_PHOTON_SOURCES,
+            )
+            assert sim_config == SimConfig(
+                beta_qd=side.beta_qd,
+                beta_ms=side.beta_ms,
+                n=TimingParams(tau_c_ns=250.0, tau_t_us=geom.tau_t_us).n,
                 total_cycles=20000,
-                tau_c_ns=250.0,
                 seed=derive_seed(9, "sweep", d),
-                encoding=EncodingVariant.TIME_BIN_CONVERTED,
-                midpoint=MidpointVariant.TWO_SINGLE_PHOTON_SOURCES,
-                detector=DetectorModel(2000.0, 10.0),
+                p_dc=DetectorModel(2000.0, 10.0).p_dc,
                 bsm_variant=BsmVariant.SINGLET_ONLY,
                 mode=SimMode(mode),
+                tau_c_ns=250.0,
             )
+
+    def test_square_profile_point(self):
+        config = RunConfig()  # square profile at 50 km, 500 ns clock
+        sim_config = config.sim_config(100_000, 0, config.point())
+        assert sim_config.n == 500
+        assert sim_config.beta_qd == pytest.approx(10 ** (-12.5 / 10), rel=1e-12)
+        assert sim_config.beta_ms == pytest.approx(10 ** (-7.5 / 10), rel=1e-12)
 
 
 class TestSubcommands:
@@ -395,6 +409,46 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: flag {flag}: must ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param(
+                ["markov", "--n", "5", "--p", "-1e-3"], "flag --p: must lie in [0, 1], got -0.001",
+                id="markov-exponent",
+            ),
+            pytest.param(
+                ["markov", "--n", "5", "--p", "-inf"], "flag --p: must lie in [0, 1], got -inf",
+                id="markov-inf",
+            ),
+            pytest.param(
+                ["rates", "--length-km", "-1e3"],
+                "flag --length-km: length_km must be positive, got -1000.0",
+                id="rates-exponent",
+            ),
+            pytest.param(
+                ["simulate", "--tau-c-ns", "-1E-3"],
+                "flag --tau-c-ns: tau_c_ns must be positive and finite, got -0.001",
+                id="simulate-capital-exponent",
+            ),
+            pytest.param(
+                ["fidelity", "--alpha-qd-db", "-Infinity"],
+                "flag --alpha-qd-db: alpha_qd_db must be finite and non-negative, got -inf",
+                id="fidelity-infinity",
+            ),
+            pytest.param(
+                ["rates", "--sweep", "-10:20:5"],
+                "flag --sweep: sweep needs 0 < start <= stop and step > 0, got '-10:20:5'",
+                id="rates-sweep",
+            ),
+        ],
+    )
+    def test_negative_value_reaches_its_range_check(self, capsys, argv, message):
+        """argparse reads ``-1e-3``, ``-inf`` or ``-10:20:5`` after a flag as
+        an option: these used to exit 2 with ``expected one argument``, which
+        hid the value."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_markov_at_a_million_cycle_timeout(self, capsys):
         """n = 10^6 (long link, fast clock): 3,000,001 states solved in-process."""
@@ -462,6 +516,12 @@ class TestSubcommands:
         assert len(lines) == 4
         assert capsys.readouterr().err == ""
 
+    def test_output_to_a_missing_directory_exits_1(self, tmp_path, capsys):
+        """A file that cannot be written is an OS error, exit 1; exit 2 is for bad input."""
+        out = tmp_path / "missing" / "a.csv"
+        assert main(["rates", "--sweep", "50:50:1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_rates_json_format(self, capsys):
         assert main(["rates", "--sweep", "50:50:1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -472,6 +532,12 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         for key in ("mps_infidelity", "mpi_infidelity", "mc_infidelity", "mc_pairs"):
             assert key in payload
+
+    def test_fidelity_without_mc_cycles_prints_the_formulas_only(self, capsys):
+        assert main(["fidelity"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "p_dc", "beta_qd", "beta_ms", "beta_1", "mps_infidelity", "mpi_infidelity"
+        ]
 
     def test_negative_mc_cycles_names_flag(self, capsys):
         assert main(["fidelity", "--mc-cycles", "-5"]) == 2

@@ -38,6 +38,10 @@ class TestDbToProb:
     def test_three_db_is_half(self):
         assert db_to_prob(3.0) == pytest.approx(0.50119, abs=1e-5)
 
+    def test_db_half_is_half(self):
+        """The other tests state penalties in units of ``DB_HALF`` itself."""
+        assert db_to_prob(DB_HALF) == pytest.approx(0.5, rel=1e-15)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             db_to_prob(-1.0)

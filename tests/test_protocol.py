@@ -27,8 +27,10 @@ from mpslink import (
     SimConfig,
     SimMode,
     SimStats,
+    TimingParams,
     des_run,
     herald_model,
+    mps_side_loss,
     rate_from_stationary,
     stationary_open_prob,
     write_trace_csv,
@@ -1122,13 +1124,12 @@ class TestSimConfig:
 
     def test_warns_on_short_run(self):
         """The warning points at the caller's line, not at the dataclass
-        ``__init__``, ``dataclasses.replace`` or ``from_hardware``."""
+        ``__init__`` or ``dataclasses.replace``."""
         long_run = SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=5000)
         with pytest.warns(UserWarning) as record:
             SimConfig(beta_qd=0.5, beta_ms=0.5, n=100, total_cycles=500)
             dataclasses.replace(long_run, total_cycles=500)
-            SimConfig.from_hardware(LossBudget(10.0, 5.0), ChannelGeometry(50.0), total_cycles=500)
-        assert [warning.filename for warning in record] == [__file__] * 3
+        assert [warning.filename for warning in record] == [__file__] * 2
 
     @settings(
         max_examples=300, derandomize=True, database=None, deadline=None,
@@ -1176,32 +1177,19 @@ class TestSimConfig:
         keep their trace."""
         omniscient = SimConfig(**LOSSLESS)
         literal = SimConfig(mode=SimMode.LITERAL, trace_limit=5, **LOSSLESS)
-        hardware = dict(budget=LossBudget(10.0, 5.0), geom=ChannelGeometry(50.0),
-                        total_cycles=100_000)
         for k in (1, 5, 10**6):
             builds = (
                 lambda: SimConfig(mode=SimMode.OMNISCIENT, trace_limit=k, **LOSSLESS),
                 lambda: dataclasses.replace(omniscient, trace_limit=k),
                 lambda: dataclasses.replace(literal, mode=SimMode.OMNISCIENT, trace_limit=k),
-                lambda: SimConfig.from_hardware(trace_limit=k, **hardware),
             )
             for build in builds:
                 with pytest.raises(ValueError, match=f"^trace_limit must be 0 in .*, got {k}$"):
                     build()
         assert len(des_run(literal).trace) == 5
-        traced = SimConfig.from_hardware(mode=SimMode.LITERAL, trace_limit=5, **hardware)
-        assert traced.trace_limit == 5
 
-    def test_from_hardware_square_profile(self):
-        config = SimConfig.from_hardware(
-            LossBudget(10.0, 5.0),
-            ChannelGeometry(50.0),
-            total_cycles=100_000,
-            tau_c_ns=500.0,
-        )
-        assert config.n == 500
-        assert config.beta_qd == pytest.approx(10 ** (-12.5 / 10), rel=1e-12)
-        assert config.beta_ms == pytest.approx(10 ** (-7.5 / 10), rel=1e-12)
+    def test_default_seed_is_zero(self):
+        assert SimConfig(beta_qd=0.5, beta_ms=0.5, n=10, total_cycles=5000).seed == 0
 
 
 LOSSLESS = dict(beta_qd=1.0, beta_ms=1.0, n=10, total_cycles=5000, seed=3)
@@ -1280,9 +1268,12 @@ class TestDesRun:
         ``X`` (a pair) is Bernoulli(``a``) and independent of ``M``, so
         ``sigma**2 = a (1 - a) + R**2 Var(M)`` with ``R = a / E[L]``, and
         ``Var(R) = sigma**2 / (T E[L])``."""
-        config = SimConfig.from_hardware(
-            LossBudget(10.0, 5.0), ChannelGeometry(10.0), total_cycles=cycles, seed=1,
-            detector=detector,
+        geom = ChannelGeometry(10.0)
+        side = mps_side_loss(LossBudget(10.0, 5.0), geom)
+        config = SimConfig(
+            beta_qd=side.beta_qd, beta_ms=side.beta_ms,
+            n=TimingParams(tau_c_ns=500.0, tau_t_us=geom.tau_t_us).n, total_cycles=cycles,
+            seed=1, p_dc=detector.p_dc if detector is not None else 0.0,
         )
         des_run(dataclasses.replace(config, total_cycles=10**6))  # numpy's first calls
         start = time.perf_counter()

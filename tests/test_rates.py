@@ -41,6 +41,10 @@ class TestTimingParams:
             if n > 1:
                 assert (n - 1) * tau_c < tau_t * 1e3
 
+    def test_clock_period_at_or_above_the_delay_gives_one_cycle(self):
+        assert TimingParams(tau_c_ns=500.0, tau_t_us=0.5).n == 1
+        assert TimingParams(tau_c_ns=1000.0, tau_t_us=0.5).n == 1
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             TimingParams(tau_c_ns=0.0, tau_t_us=250.0)
