@@ -12,13 +12,10 @@ classical messages, photon loss and dark counts.
 
 from .markov import (
     Chain,
-    collapse,
-    collapsed_chain,
     full_chain,
     rate_from_stationary,
     stationary,
     stationary_as_dict,
-    stationary_closed_prob,
     stationary_open_prob,
 )
 from .optics import (
@@ -37,11 +34,9 @@ from .optics import (
     mps_infidelity,
     mps_infidelity_simplified,
     mps_side_loss,
-    prob_to_db,
 )
 from .protocol import (
     HeraldModel,
-    InvariantError,
     SimConfig,
     SimMode,
     SimStats,
@@ -50,15 +45,12 @@ from .protocol import (
     write_trace_csv,
 )
 from .rates import (
-    ImprovementFactor,
     RateReport,
     TimingParams,
-    improvement_factor,
     min_timeout_cycles,
     mpi_rate,
     mps_rate,
     mps_rate_limit,
-    mps_rate_limit_high_loss,
 )
 
 __version__ = "0.1.0"
@@ -71,8 +63,6 @@ __all__ = [
     "DetectorModel",
     "EncodingVariant",
     "HeraldModel",
-    "ImprovementFactor",
-    "InvariantError",
     "LossBudget",
     "MidpointVariant",
     "RateReport",
@@ -81,14 +71,11 @@ __all__ = [
     "SimMode",
     "SimStats",
     "TimingParams",
-    "collapse",
-    "collapsed_chain",
     "db_to_prob",
     "des_run",
     "false_coincidence_prob",
     "full_chain",
     "herald_model",
-    "improvement_factor",
     "min_timeout_cycles",
     "mpi_infidelity",
     "mpi_loss",
@@ -97,13 +84,10 @@ __all__ = [
     "mps_infidelity_simplified",
     "mps_rate",
     "mps_rate_limit",
-    "mps_rate_limit_high_loss",
     "mps_side_loss",
-    "prob_to_db",
     "rate_from_stationary",
     "stationary",
     "stationary_as_dict",
-    "stationary_closed_prob",
     "stationary_open_prob",
     "write_trace_csv",
 ]

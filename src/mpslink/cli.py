@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
@@ -143,12 +143,6 @@ class RunConfig:
 
     def sweep_distances(self) -> list[float]:
         return list(self._distances)
-
-    def to_config_text(self) -> str:
-        """Render back to the key=value format; parsing it reproduces this config."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        lines = [f"{k}={v.value if isinstance(v, Enum) else v}" for k, v in values.items()]
-        return "\n".join(lines) + "\n"
 
 
 # Config key -> type, read from the RunConfig field annotations.

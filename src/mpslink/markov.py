@@ -8,9 +8,12 @@ states.  ``p`` is the per-side herald probability per clock cycle.
 
 Transitions encode the protocol with an omniscient observer: a lone herald
 times out after ``n`` cycles unless the other side heralds meanwhile, in
-which case both sides reopen together at the earlier deadline.  Collapsing
-each row ``i`` into a single state yields an equivalent ``n + 1``-state
-chain whose equilibrium is available in closed form.
+which case both sides reopen together at the earlier deadline.  The three
+states ``(i,0)``, ``(0,i)`` and ``(i,i)`` of a row ``i`` all reopen after
+``i`` more cycles, so summing a stationary vector over each row gives the
+stationary vector of the ``n + 1``-state chain of the time until both sides
+are open: ``pi(0,0) = 1 / (1 + n (2p - p**2))`` and every row ``i > 0``
+holds ``(1 - pi(0,0)) / n``.  The tests check this identity.
 
 Every state but ``(0,0)`` moves one cycle closer to reopening, so the chain
 is a ring with a single branch point.  ``stationary`` walks that ring in
@@ -49,7 +52,6 @@ class Chain:
 
     n: int
     p: float
-    kind: str  # "full" or "collapsed"
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -66,8 +68,6 @@ class Chain:
     @property
     def labels(self) -> tuple[str, ...]:
         rows = range(1, self.n + 1)
-        if self.kind == "collapsed":
-            return ("[0]", *(f"[{i}]" for i in rows))
         return (
             "(0,0)",
             *(f"({i},0)" for i in rows),
@@ -109,18 +109,7 @@ def full_chain(n: int, p: float) -> Chain:
         data[start + 1 : start + 2 * n - 1].reshape(-1, 2)[:] = (q, p)
     indices[4 * n + 2], indices[4 * n + 3 :] = 0, 2 * n + i - 1  # (i,i) -> (i-1,i-1)
     data[4 * n + 2 :] = 1.0
-    return Chain(n=n, p=p, kind="full", indptr=indptr, indices=indices, data=data)
-
-
-def collapsed_chain(n: int, p: float) -> Chain:
-    """Build the ``n + 1``-state chain over the time until both sides are open."""
-    _check_n(n)
-    _check_p(p)
-    indptr = np.concatenate(([0], np.arange(2, n + 3)))
-    indices = np.concatenate(([0, n], np.arange(n)))  # [i] -> [i-1]
-    data = np.ones(n + 2)
-    data[:2] = (1.0 - p) ** 2, 2.0 * p - p * p
-    return Chain(n=n, p=p, kind="collapsed", indptr=indptr, indices=indices, data=data)
+    return Chain(n=n, p=p, indptr=indptr, indices=indices, data=data)
 
 
 def stationary(chain: Chain) -> np.ndarray:
@@ -129,18 +118,13 @@ def stationary(chain: Chain) -> np.ndarray:
     With ``pi(0,0) = 1`` and ``q = 1 - p``, the states that wait on one side
     hold ``pi(i,0) = pi(0,i) = p q**(n-i+1)``; the diagonal starts at
     ``pi(n,n) = p**2`` and gains ``2p pi(i+1,0)`` per row on its way down.
-    In the collapsed chain every waiting state holds ``2p - p**2``.  Only
-    sums of non-negative terms occur, so ``p in {0, 1}`` (absorbing or
+    Only sums of non-negative terms occur, so ``p in {0, 1}`` (absorbing or
     periodic chain) come out exactly.  The vector is normalised last.
     """
     n, p = chain.n, chain.p
-    if chain.kind == "collapsed":
-        pi = np.full(n + 1, 2.0 * p - p * p)
-        pi[0] = 1.0
-    else:
-        side = p * (1.0 - p) ** np.arange(n, 0, -1)
-        both = np.cumsum(np.concatenate(([p * p], 2.0 * p * side[:0:-1])))[::-1]
-        pi = np.concatenate(([1.0], side, side, both))
+    side = p * (1.0 - p) ** np.arange(n, 0, -1)
+    both = np.cumsum(np.concatenate(([p * p], 2.0 * p * side[:0:-1])))[::-1]
+    pi = np.concatenate(([1.0], side, side, both))
     pi /= pi.sum()
     residual = np.max(np.abs(chain.step(pi) - pi))
     if residual > _RESIDUAL_TOL:
@@ -153,20 +137,6 @@ def stationary_open_prob(n: int, p: float) -> float:
     _check_n(n)
     _check_p(p)
     return 1.0 / (1.0 + n * (2.0 * p - p * p))
-
-
-def stationary_closed_prob(n: int, p: float) -> float:
-    """Closed-form equilibrium probability of each waiting state ``[i]``, i > 0."""
-    return (1.0 - stationary_open_prob(n, p)) / n
-
-
-def collapse(full_distribution: np.ndarray, n: int) -> np.ndarray:
-    """Sum a full-chain distribution row-wise onto the collapsed state space."""
-    _check_n(n)
-    vec = np.asarray(full_distribution, dtype=float)
-    if vec.shape != (3 * n + 1,):
-        raise ValueError(f"expected a vector of length {3 * n + 1}, got shape {vec.shape}")
-    return np.concatenate((vec[:1], vec[1:].reshape(3, n).sum(axis=0)))
 
 
 def rate_from_stationary(pi00: float, beta_2: float, tau_c_s: float) -> float:

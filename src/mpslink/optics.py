@@ -46,13 +46,6 @@ def db_to_prob(alpha_db: float) -> float:
     return 10.0 ** (-alpha_db / 10.0)
 
 
-def prob_to_db(beta: float) -> float:
-    """Inverse of :func:`db_to_prob`; rejects zero to avoid a log singularity."""
-    if not math.isfinite(beta) or not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    return -10.0 * math.log10(beta)
-
-
 class BsmVariant(Enum):
     """Linear-optics Bell-state measurement arrangement.
 
@@ -63,11 +56,6 @@ class BsmVariant(Enum):
 
     SINGLET_ONLY = "singlet_only"
     SINGLET_PLUS_TRIPLET = "singlet_plus_triplet"
-
-    @property
-    def success_fraction(self) -> float:
-        """Share of photon pairs the measurement identifies."""
-        return 0.5 if self is BsmVariant.SINGLET_PLUS_TRIPLET else 0.25
 
     @property
     def dark_count_factor(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 
 def _check_beta(beta: float, name: str) -> None:
@@ -54,10 +53,6 @@ class TimingParams:
     def tau_t_s(self) -> float:
         return self.tau_t_us * 1e-6
 
-    @property
-    def tau_c_s(self) -> float:
-        return self.tau_c_ns * 1e-9
-
 
 def mpi_rate(beta_1: float, tau_t_s: float) -> float:
     """Pairs per second for midpoint interference: one attempt per delay window."""
@@ -84,13 +79,6 @@ def mps_rate_limit(beta_2: float, tau_t_s: float) -> float:
     return p / (tau_t_s * (2.0 - p))
 
 
-def mps_rate_limit_high_loss(beta_2: float, tau_t_s: float) -> float:
-    """High-loss approximation ``sqrt(beta_2) / (2 tau_t)`` of :func:`mps_rate_limit`."""
-    _check_beta(beta_2, "beta_2")
-    _check_tau(tau_t_s)
-    return math.sqrt(beta_2) / (2.0 * tau_t_s)
-
-
 def min_timeout_cycles(beta_2: float, fraction: float) -> int:
     """Smallest timeout length reaching the given fraction of the saturation rate.
 
@@ -112,23 +100,6 @@ def min_timeout_cycles(beta_2: float, fraction: float) -> int:
     while n > 1 and reaches(n - 1):
         n -= 1
     return n
-
-
-class ImprovementFactor(NamedTuple):
-    exact: float
-    high_loss: float
-
-
-def improvement_factor(beta_1: float, beta_2: float) -> ImprovementFactor:
-    """Saturated midpoint-source rate over the midpoint-interference rate.
-
-    The delay cancels, so only the two loss parameters enter.  ``high_loss``
-    is the ``sqrt(beta_2) / (2 beta_1)`` approximation.
-    """
-    _check_beta(beta_1, "beta_1")
-    _check_beta(beta_2, "beta_2")
-    p = math.sqrt(beta_2)
-    return ImprovementFactor(exact=p / (beta_1 * (2.0 - p)), high_loss=p / (2.0 * beta_1))
 
 
 @dataclass(frozen=True)

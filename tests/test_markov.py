@@ -1,4 +1,4 @@
-"""Chain construction, stationary solves and the collapse identity."""
+"""Chain construction, stationary solves and the row-collapse identity."""
 
 import math
 import random
@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from mpslink import (
-    collapse,
-    collapsed_chain,
     full_chain,
     mps_rate,
     rate_from_stationary,
     stationary,
     stationary_as_dict,
-    stationary_closed_prob,
     stationary_open_prob,
 )
 
@@ -27,6 +24,12 @@ def dense(chain):
     matrix = np.zeros((chain.num_states, chain.num_states))
     np.add.at(matrix, (rows, chain.indices), chain.data)
     return matrix
+
+
+def collapse(pi, n):
+    """Sum a full-chain vector over each row ``i``: ``(i,0)``, ``(0,i)`` and
+    ``(i,i)`` become the collapsed state ``[i]``."""
+    return np.concatenate((pi[:1], pi[1:].reshape(3, n).sum(axis=0)))
 
 
 def assert_csr_structure(chain, nnz):
@@ -99,7 +102,6 @@ class TestChainConstruction:
     def test_state_count(self):
         for n in (1, 2, 5, 17):
             assert full_chain(n, 0.5).num_states == 3 * n + 1
-            assert collapsed_chain(n, 0.5).num_states == n + 1
 
     def test_n1_half_row(self):
         chain = full_chain(1, 0.5)
@@ -145,24 +147,20 @@ class TestChainConstruction:
             full_chain(3, 1.5)
         # the rule SimConfig applies to n as well: an int, and not a bool
         for bad_n in (True, 2.0, 2.5):
-            for build in (full_chain, collapsed_chain):
-                with pytest.raises(ValueError, match="n must be an integer"):
-                    build(bad_n, 0.5)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                full_chain(bad_n, 0.5)
 
     def test_builders_match_transition_rule_loop(self):
-        """The vectorised builders equal the rule applied one state at a time,
-        and store every entry the rule writes (zeros too at p in {0, 1})."""
+        """The vectorised builder equals the rule applied one state at a time,
+        and stores every entry the rule writes (zeros too at p in {0, 1})."""
         for n in (1, 2, 3, 7, 20):
             for p in (0.0, *P_GRID, 1.0):
-                full, small = transition_rule_matrices(n, p)
-                for chain, expected, nnz in (
-                    (full_chain(n, p), full, 5 * n + 2),
-                    (collapsed_chain(n, p), small, n + 2),
-                ):
-                    assert np.array_equal(dense(chain), expected)
-                    assert_csr_structure(chain, nnz)
-                    pi = np.linspace(1.0, 2.0, chain.num_states)
-                    assert np.allclose(chain.step(pi), pi @ expected, rtol=1e-14, atol=0.0)
+                full, _ = transition_rule_matrices(n, p)
+                chain = full_chain(n, p)
+                assert np.array_equal(dense(chain), full)
+                assert_csr_structure(chain, 5 * n + 2)
+                pi = np.linspace(1.0, 2.0, chain.num_states)
+                assert np.allclose(chain.step(pi), pi @ full, rtol=1e-14, atol=0.0)
 
     def test_transition_level_collapse(self):
         """Summing full-chain rows over each waiting class reproduces the
@@ -170,7 +168,7 @@ class TestChainConstruction:
         for n in (2, 5):
             for p in (0.2, 0.5, 0.77):
                 full = dense(full_chain(n, p))
-                small = dense(collapsed_chain(n, p))
+                _, small = transition_rule_matrices(n, p)
 
                 def row_class(index):
                     if index == 0:
@@ -242,7 +240,8 @@ class TestClosedForms:
 
     def test_tail_probability(self):
         pi0 = stationary_open_prob(2, 0.5)
-        assert stationary_closed_prob(2, 0.5) == pytest.approx((1 - pi0) / 2, rel=1e-12)
+        tail = collapse(stationary(full_chain(2, 0.5)), 2)[1]
+        assert tail == pytest.approx((1 - pi0) / 2, rel=1e-12)
 
     def test_matches_numeric_on_grid(self):
         for n in range(1, 21):
@@ -268,23 +267,21 @@ class TestCollapse:
         assert collapsed[0] == 1.0
         assert collapsed[1:].sum() == 0.0
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            collapse(np.ones(5), 2)
-
     def test_matches_waiting_state_closed_form(self):
         for n in (1, 4, 12, 33):
             for p in P_GRID:
                 collapsed = collapse(stationary(full_chain(n, p)), n)
-                expected = stationary_closed_prob(n, p)
+                expected = (1.0 - stationary_open_prob(n, p)) / n
                 assert np.max(np.abs(collapsed[1:] - expected)) <= 1e-10
 
     def test_direct_collapsed_chain_has_same_stationary(self):
+        """The lumped full-chain stationary vector is stationary for the
+        collapsed chain built from the transition rule."""
         for n in (1, 6, 25):
             for p in (0.0, *P_GRID, 1.0):
                 via_full = collapse(stationary(full_chain(n, p)), n)
-                direct = stationary(collapsed_chain(n, p))
-                assert np.max(np.abs(via_full - direct)) <= 1e-10
+                _, small = transition_rule_matrices(n, p)
+                assert np.max(np.abs(via_full @ small - via_full)) <= 1e-10
 
 
 class TestRateFromStationary:

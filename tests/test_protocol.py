@@ -22,7 +22,6 @@ from mpslink import (
     BsmVariant,
     ChannelGeometry,
     DetectorModel,
-    InvariantError,
     LossBudget,
     SimConfig,
     SimMode,
@@ -41,6 +40,7 @@ from mpslink.protocol import (
     Closed,
     HeraldKind,
     HeraldRecord,
+    InvariantError,
     Open,
     Side,
     bsm_attempt_sample,

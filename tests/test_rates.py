@@ -6,21 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpslink import (
-    ImprovementFactor,
     RateReport,
     TimingParams,
     full_chain,
-    improvement_factor,
     min_timeout_cycles,
     mpi_rate,
     mps_rate,
     mps_rate_limit,
-    mps_rate_limit_high_loss,
     rate_from_stationary,
     stationary,
 )
 
 TAU_T = 250e-6  # 50 km at 5 us/km
+
+
+def high_loss_limit(beta_2, tau_t_s):
+    """The paper's high-loss form ``sqrt(beta_2) / (2 tau_t)`` of ``mps_rate_limit``."""
+    return math.sqrt(beta_2) / (2.0 * tau_t_s)
 
 
 class TestTimingParams:
@@ -72,6 +74,10 @@ class TestMpiRate:
         with pytest.raises(ValueError):
             mpi_rate(1e-4, 0.0)
 
+    def test_rejects_zero_transmission(self):
+        with pytest.raises(ValueError, match=r"beta_1 must lie in \(0, 1\]"):
+            mpi_rate(0.0, TAU_T)
+
 
 class TestMpsRate:
     def test_desk_value_via_chain_equilibrium(self):
@@ -107,7 +113,7 @@ class TestMpsRateLimit:
 
     def test_high_loss_approximation_quality(self):
         exact = mps_rate_limit(1e-4, TAU_T)
-        approx = mps_rate_limit_high_loss(1e-4, TAU_T)
+        approx = high_loss_limit(1e-4, TAU_T)
         assert approx == pytest.approx(20.0, rel=1e-12)
         assert abs(exact - approx) / exact <= 0.005 * (1.0 + 1e-12)
 
@@ -115,7 +121,7 @@ class TestMpsRateLimit:
         # |limit - approx| / limit == sqrt(beta_2) / 2, algebraically
         for beta_2 in (1e-8, 1e-6, 1e-4):
             exact = mps_rate_limit(beta_2, TAU_T)
-            approx = mps_rate_limit_high_loss(beta_2, TAU_T)
+            approx = high_loss_limit(beta_2, TAU_T)
             bound = math.sqrt(beta_2) / 2.0
             assert abs(exact - approx) / exact <= bound * (1.0 + 1e-12)
 
@@ -158,24 +164,21 @@ class TestMinTimeoutCycles:
 
 
 class TestImprovementFactor:
+    """The saturated midpoint-source rate over the midpoint-interference rate:
+    the delay cancels, so only the two loss parameters enter."""
+
     def test_square_profile_point(self):
-        got = improvement_factor(10.0**-3.5, 1e-4)
-        # independent route: ratio of the two rate formulas at any delay
-        want = mps_rate_limit(1e-4, TAU_T) / mpi_rate(10.0**-3.5, TAU_T)
-        assert got.exact == pytest.approx(want, rel=1e-12)
-        assert got.exact == pytest.approx(15.89, abs=0.01)
-        assert got.high_loss == pytest.approx(15.81, abs=0.01)
+        exact = mps_rate_limit(1e-4, TAU_T) / mpi_rate(10.0**-3.5, TAU_T)
+        assert exact == pytest.approx(15.89, abs=0.01)
+        assert math.sqrt(1e-4) / (2.0 * 10.0**-3.5) == pytest.approx(15.81, abs=0.01)
 
     def test_triangle_profile_point(self):
-        got = improvement_factor(1e-6, 1e-7)
-        assert got.high_loss == pytest.approx(158.1, abs=0.1)
-        assert 10.0 <= got.high_loss <= 200.0
+        high_loss = math.sqrt(1e-7) / (2.0 * 1e-6)
+        assert high_loss == pytest.approx(158.1, abs=0.1)
+        assert 10.0 <= high_loss <= 200.0
 
     def test_lossless(self):
-        assert improvement_factor(1.0, 1.0).exact == 1.0
-
-    def test_returns_named_pair(self):
-        assert isinstance(improvement_factor(0.5, 0.5), ImprovementFactor)
+        assert mps_rate_limit(1.0, TAU_T) / mpi_rate(1.0, TAU_T) == 1.0
 
 
 class TestRateReport:
