@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
@@ -485,45 +485,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-# Reference loss profiles for the preset distance sweep: (alpha_qd_db, alpha_bsm_db).
-FIG4_PROFILES = {"square": (10.0, 5.0), "triangle": (20.0, 10.0)}
-_FIG4_SWEEP = "10:100:5"
-# The rate keys that the profiles leave as configured; fig4's rate rule is reported at them.
-_FIG4_RATE_KEYS = " ".join(
-    key for key in _RATE_KEYS.split() if key not in ("alpha_qd_db", "alpha_bsm_db")
-)
-
-
-def _fig4_configs(config: RunConfig) -> dict[str, RunConfig]:
-    """``config`` at each of fig4's loss profiles, by profile name."""
-    return {
-        profile: replace(config, alpha_qd_db=alpha_qd, alpha_bsm_db=alpha_bsm)
-        for profile, (alpha_qd, alpha_bsm) in FIG4_PROFILES.items()
-    }
-
-
-def _rate_fig4(config: RunConfig) -> None:
-    """Rate every fig4 profile at the ends of fig4's sweep."""
-    distances = _parse_sweep(_FIG4_SWEEP)
-    for profile_config in _fig4_configs(config).values():
-        _rate_ends(profile_config, distances)
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    config = _load_config(args, ((_FIG4_RATE_KEYS, _rate_fig4),))
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    distances = _parse_sweep(_FIG4_SWEEP)
-    written = []
-    for profile, profile_config in _fig4_configs(config).items():
-        # One table per profile: its rows carry both schemes (g1 for MPI, g2 for MPS).
-        path = outdir / f"fig4_{profile}.csv"
-        emit(sweep_rates(profile_config, distances), "csv", path)
-        written.append(path)
-    sys.stdout.write("\n".join(str(path) for path in written) + "\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpslink",
@@ -550,15 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(fidelity)
     fidelity.add_argument("--mc-cycles", type=int, default=0, help="Monte Carlo cross-check cycles")
     fidelity.set_defaults(func=_cmd_fidelity)
-
-    fig4 = sub.add_parser(
-        "fig4", help="preset 10-100 km sweep at two reference loss profiles"
-    )
-    _add_config_flags(fig4)
-    fig4.add_argument(
-        "--outdir", default=".", help="directory for the CSV files, one per loss profile"
-    )
-    fig4.set_defaults(func=_cmd_fig4)
 
     return parser
 

@@ -49,10 +49,6 @@ class TimingParams:
             )
         return max(1, math.ceil(ratio * (1.0 - 1e-12)))
 
-    @property
-    def tau_t_s(self) -> float:
-        return self.tau_t_us * 1e-6
-
 
 def mpi_rate(beta_1: float, tau_t_s: float) -> float:
     """Pairs per second for midpoint interference: one attempt per delay window."""

@@ -115,8 +115,9 @@ def test_criterion_03_worked_example():
     """40 dB two-sided loss, 250 us delay, n = 500 gives a 500 ns clock at >= 90%."""
     timing = TimingParams(tau_c_ns=500.0, tau_t_us=250.0)
     beta_2 = db_to_prob(40.0)
-    tau_c_s = timing.tau_t_s / timing.n
-    ratio = mps_rate(beta_2, timing.tau_t_s, timing.n) / mps_rate_limit(beta_2, timing.tau_t_s)
+    tau_t_s = timing.tau_t_us * 1e-6
+    tau_c_s = tau_t_s / timing.n
+    ratio = mps_rate(beta_2, tau_t_s, timing.n) / mps_rate_limit(beta_2, tau_t_s)
     ok = timing.n == 500 and tau_c_s == 500e-9 and ratio >= 0.9
     _report(3, ok, f"n = {timing.n}, tau_c = {tau_c_s!r} s, ratio = {ratio:.6f}")
     assert timing.n == 500

@@ -228,6 +228,9 @@ class TestParseConfig:
         # 9e10 points: rejected from its bounds before any list is built.
         with pytest.raises(ConfigError, match=r"line 1 \(sweep\).*more than 100000 points"):
             parse_config("sweep=10:100:1e-9")
+        # (stop - start + 1e-9) / step is exactly 100000.0 here: 100001 points.
+        with pytest.raises(ConfigError, match=r"line 1 \(sweep\).*more than 100000 points"):
+            parse_config("sweep=1:100000.999999999:1")
 
     def test_default_sweep_distances_bit_identical(self):
         # derive_seed keys each point's seed on its distance, so the default
@@ -389,6 +392,12 @@ class TestSubcommands:
         assert payload["pi00_closed_form"] == pytest.approx(0.4, abs=1e-15)
         assert payload["abs_difference"] <= 1e-12
 
+    @pytest.mark.parametrize(("p", "pi00"), [("0", 1.0), ("1", 0.25)])
+    def test_markov_at_either_end_of_p_runs(self, capsys, p, pi00):
+        assert main(["markov", "--n", "3", "--p", p]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pi00_numeric"] == pi00 == payload["pi00_closed_form"]
+
     @pytest.mark.parametrize("n", [10_000_001, 100_000_000])
     def test_markov_past_the_chain_cap_names_flag(self, monkeypatch, capsys, n):
         """``--n 100000000`` used to build its chain until the process was
@@ -548,6 +557,20 @@ class TestSubcommands:
             "p_dc", "beta_qd", "beta_ms", "beta_1", "mps_infidelity", "mpi_infidelity"
         ]
 
+    def test_infidelity_of_exactly_one_is_printed(self, capsys):
+        """The rule rejects an infidelity past 1, not one equal to it:
+        ``db_to_prob(2 * DB_HALF)`` is 0.25 and ``p_dc`` 0.5, both exact."""
+        argv = ["fidelity", "--alpha-qd-db", "3.010299956639812", "--alpha-bsm-db", "0",
+                "--fiber-db-per-km", "0", "--dark-count-rate-hz", "5e7"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["p_dc"] == 0.5 and payload["beta_1"] == 0.25
+        assert payload["mpi_infidelity"] == 1.0
+
+    def test_mc_cycles_at_the_cap_runs(self, capsys):
+        assert main(["fidelity", "--mc-cycles", str(2**62)]) == 0
+        assert json.loads(capsys.readouterr().out)["mc_pairs"] > 0
+
     def test_negative_mc_cycles_names_flag(self, capsys):
         assert main(["fidelity", "--mc-cycles", "-5"]) == 2
         assert capsys.readouterr().err == "error: flag --mc-cycles: must be >= 0, got -5\n"
@@ -612,6 +635,12 @@ class TestSubcommands:
                 "flag --dark-count-rate-hz: the first-order infidelity exceeds 1 at 50.0 km:"
                 " 10.7 (MPS) and 28.1 (MPI)",
             ),
+            (
+                # Exactly 1: a dark count in every window.
+                ["rates", "--dark-count-rate-hz", "1e8"],
+                "flag --dark-count-rate-hz: dark-count probability per window,"
+                " dark_count_rate_hz * window_ns * 1e-9, must be < 1, got 1.0",
+            ),
         ],
     )
     def test_limits_and_joint_rules_name_the_flag(self, capsys, argv, message):
@@ -638,9 +667,7 @@ class TestSubcommands:
             pytest.param(
                 command, flags, message, id=f"{command[0]}{'-simulate' * len(command[1:])}-{name}"
             )
-            for command in (
-                ["rates"], ["rates", "--simulate"], ["simulate"], ["fidelity"], ["fig4"]
-            )
+            for command in (["rates"], ["rates", "--simulate"], ["simulate"], ["fidelity"])
             for name, flags, message in (
                 (
                     # Used to end in a ZeroDivisionError traceback at g2 / g1.
@@ -667,27 +694,12 @@ class TestSubcommands:
             )
         ],
     )
-    def test_rates_past_the_normal_floats_exit_2(self, tmp_path, capsys, command, flags, message):
+    def test_rates_past_the_normal_floats_exit_2(self, capsys, command, flags, message):
         """Every command that reads the config rejects analytic rates that
         leave the normal floats, at ``length_km`` and at the sweep's ends, and
         names the last flag of the rule that the input set."""
-        outdir = ["--outdir", str(tmp_path)] if command == ["fig4"] else []
-        assert main([*command, *flags, *outdir, "--cycles", "1000"]) == 2
+        assert main([*command, *flags, "--cycles", "1000"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_fig4_rates_its_own_profiles_and_sweep(self, tmp_path, capsys):
-        """fig4 sets its own loss profiles and sweep, which the config checks
-        never rated: this input used to pass them, create the output
-        directory, then fail at 40 km naming no flag."""
-        outdir = tmp_path / "D"
-        argv = ["fig4", "--outdir", str(outdir), "--length-km", "10", "--sweep", "10:10:1",
-                "--delay-us-per-km", "1.6e156"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: flag --delay-us-per-km: g2_hz must be a positive normal float at 100.0 km,"
-            " got 0.0\n"
-        )
-        assert not outdir.exists()
 
     def test_infidelity_past_one_names_the_config_line(self, tmp_path, capsys):
         """The ``fidelity`` check names the line of a config file; other
@@ -707,14 +719,15 @@ class TestSubcommands:
         assert main(["fidelity", "--length-km", "400"]) == 0
         assert json.loads(capsys.readouterr().out)["mpi_infidelity"] < 1.0
 
-    def test_fig4_writes_one_monotone_csv_per_profile(self, tmp_path, capsys):
-        assert main(["fig4", "--outdir", str(tmp_path)]) == 0
-        paths = sorted(tmp_path.glob("fig4_*.csv"))
-        assert [p.name for p in paths] == ["fig4_square.csv", "fig4_triangle.csv"]
-        assert capsys.readouterr().out.splitlines() == [
-            str(tmp_path / "fig4_square.csv"),
-            str(tmp_path / "fig4_triangle.csv"),
-        ]
+    def test_rates_at_both_loss_profiles_write_monotone_tables(self, tmp_path, capsys):
+        """README's two reference loss profiles, one ``rates`` table each."""
+        paths = []
+        for profile, alpha_qd, alpha_bsm in ("square", "10", "5"), ("triangle", "20", "10"):
+            path = tmp_path / f"fig4_{profile}.csv"
+            argv = ["rates", "--alpha-qd-db", alpha_qd, "--alpha-bsm-db", alpha_bsm]
+            assert main([*argv, "--output", str(path)]) == 0
+            paths.append(path)
+        assert capsys.readouterr().out == ""
         assert paths[0].read_text() != paths[1].read_text()
         for path in paths:
             lines = path.read_text().splitlines()
@@ -847,3 +860,28 @@ def test_every_input_runs_or_names_a_flag(settings_, cycles):
         named = re.fullmatch(r"error: flag (--[a-z-]+): .+\n", err.getvalue())
         assert named, err.getvalue()
         assert named[1] in {flag.split("=")[0] for flag in [*command, *flags]}
+
+
+# ``markov`` inputs: its range edges and values past them.  No valid n comes
+# near the 10**7 cap, whose chain takes about 2 GiB.
+_MARKOV_P = st.sampled_from((
+    0.0, -0.0, 1e-310, 1.0, 1.0 + 2**-52, math.inf, -math.inf, math.nan, -1e-3,
+))
+_MARKOV_N = st.one_of(st.sampled_from((-1, 0, 1, 2, 10**7 + 1, 2**63)), st.integers(1, 10**4))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_MARKOV_N, _MARKOV_P)
+def test_every_markov_input_runs_or_names_a_flag(n, p):
+    """``markov`` exits 0, or exits 2 with a message that names ``--n`` or
+    ``--p``.  No traceback, and no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["markov", "--n", str(n), "--p", repr(p)])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+        return
+    assert code == 2
+    assert re.fullmatch(r"error: flag --[np]: .+\n", err.getvalue()), err.getvalue()

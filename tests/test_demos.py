@@ -1,4 +1,5 @@
-"""The demos import only names the package exports, and README's quick start runs.
+"""The demos import only names the package exports, README's quick start runs,
+and README's command lines parse.
 
 No test runs the demos, so each one is parsed, not executed: a name that
 leaves ``mpslink.__all__`` (or a submodule) shows here instead of on the
@@ -8,6 +9,7 @@ next manual run.
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import mpslink
+from mpslink.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -57,3 +60,19 @@ def test_readme_quick_start_runs():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_command_lines_parse():
+    """Every ``mpslink`` line of the sh block under README's "Command line"
+    heading parses with the CLI's parser; nothing runs."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["mpslink"]]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: mpslink {shlex.join(argv)}")
